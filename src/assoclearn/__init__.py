@@ -59,6 +59,7 @@ from .benchmark import (
     solve_periodic_static,
     solve_static,
     solve_window,
+    solve_windows,
     window_objective,
 )
 from .metrics import (
@@ -117,6 +118,7 @@ __all__ = [
     "solve_periodic_static",
     "solve_static",
     "solve_window",
+    "solve_windows",
     "window_objective",
     "BoundReport",
     "RegretReport",

@@ -11,11 +11,11 @@ windows give the per-slot dynamic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cost import CostParams, lipschitz_bound, load_slope, penalized_cost_from_loads
+from .cost import CostParams, lipschitz_bound, load_slope, penalized_values
 from .learner import egd_step, init_uniform
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace, build_partition
@@ -69,17 +69,8 @@ class BenchmarkSolution:
         return {
             "zones": self.zones,
             "zone_objectives": [float(v) for v in self.zone_objectives],
-            "zone_policies": [
-                [[float(x) for x in row] for row in pi] for pi in self.zone_policies
-            ],
-            "diagnostics": [
-                {
-                    "iterations": d.iterations,
-                    "final_residual": float(d.final_residual),
-                    "converged": d.converged,
-                }
-                for d in self.diagnostics
-            ],
+            "zone_policies": [np.asarray(pi, dtype=float).tolist() for pi in self.zone_policies],
+            "diagnostics": [asdict(d) for d in self.diagnostics],
         }
 
     @classmethod
@@ -87,34 +78,70 @@ class BenchmarkSolution:
         return cls(
             zone_policies=[np.asarray(p, dtype=float) for p in doc["zone_policies"]],
             zone_objectives=[float(v) for v in doc["zone_objectives"]],
-            diagnostics=[
-                WindowDiagnostics(
-                    iterations=d["iterations"],
-                    final_residual=d["final_residual"],
-                    converged=d["converged"],
-                )
-                for d in doc["diagnostics"]
-            ],
+            diagnostics=[WindowDiagnostics(**d) for d in doc["diagnostics"]],
         )
-
-
-def _window_loads(pi: np.ndarray, demands: np.ndarray, topology: Topology) -> np.ndarray:
-    """(n_aps, n_slots) loads of one policy against every slot of a window."""
-    return (pi * topology.inverse_rate) @ demands.T
 
 
 def window_objective(
     pi: np.ndarray, demands: np.ndarray, topology: Topology, params: CostParams
 ) -> float:
-    """Penalized objective summed over a window's slots."""
-    return penalized_cost_from_loads(_window_loads(pi, demands, topology), params)
+    """Penalized objective summed over a window's (n_slots, n_locations) demand."""
+    return float(penalized_values((pi * topology.inverse_rate) @ demands.T, params).sum())
 
 
-def window_gradient(
-    pi: np.ndarray, demands: np.ndarray, topology: Topology, params: CostParams
-) -> np.ndarray:
-    loads = _window_loads(pi, demands, topology)
-    return (load_slope(loads, params) @ demands) * topology.inverse_rate
+def solve_windows(
+    topology: Topology,
+    demands: np.ndarray,
+    params: CostParams,
+    solver: SolverConfig | None = None,
+) -> BenchmarkSolution:
+    """Minimize every window's aggregated objective from the uniform split.
+
+    demands is (n_windows, n_locations, window_length), window k's slots in
+    calendar order along the last axis. All windows advance in lock-step as
+    one policy stack, each with its own step 1/(window_length * L_k), and a
+    window leaves the stack once a step moves it by at most the tolerance.
+    Windows without demand are optimal at the uniform split and take no
+    step. Non-convergence within the iteration cap is not an error: the last
+    iterate is returned with converged=False in the diagnostics.
+    """
+    solver = solver or SolverConfig()
+    n_windows, _, window_length = demands.shape
+    pi = np.repeat(init_uniform(topology)[None], n_windows, axis=0)
+    if solver.step_size is not None:
+        steps = np.full(n_windows, solver.step_size)
+    else:
+        peaks = demands.max(axis=(1, 2))
+        lipschitz = np.array([lipschitz_bound(topology, float(p), params) for p in peaks])
+        with np.errstate(divide="ignore"):
+            steps = 1.0 / (window_length * lipschitz)  # inf for a window without demand
+    iterations, residuals = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
+    active = np.flatnonzero(np.isfinite(steps))
+    current, step = pi[active], steps[active, None, None]
+    # Demands stay the caller's single copy until some window finishes: the
+    # loads product reads it as stored, the gradient through its transpose.
+    active_demands = demands if active.size == n_windows else demands[active]
+    for iteration in range(1, solver.max_iterations + 1):
+        if not active.size:
+            break
+        loads = (current * topology.inverse_rate) @ active_demands  # (n, n_aps, window_length)
+        grad = (load_slope(loads, params) @ active_demands.swapaxes(1, 2)) * topology.inverse_rate
+        updated = egd_step(current, grad, step)
+        residual = np.abs(updated - current).reshape(active.size, -1).sum(axis=1)
+        current, iterations[active], residuals[active] = updated, iteration, residual
+        running = ~(residual <= solver.tolerance)
+        if not running.all():
+            pi[active] = current
+            active, current, step = active[running], current[running], step[running]
+            active_demands = active_demands[running]
+    pi[active] = current
+
+    values = penalized_values((pi * topology.inverse_rate) @ demands, params)
+    diagnostics = [
+        WindowDiagnostics(n, r, r <= solver.tolerance)
+        for n, r in zip(iterations.tolist(), residuals.tolist())
+    ]
+    return BenchmarkSolution(list(pi), values.reshape(n_windows, -1).sum(axis=1).tolist(), diagnostics)
 
 
 def solve_window(
@@ -124,41 +151,13 @@ def solve_window(
     params: CostParams,
     solver: SolverConfig | None = None,
 ) -> tuple[np.ndarray, float, WindowDiagnostics]:
-    """Minimize the window-aggregated objective from the uniform split.
-
-    Non-convergence within the iteration cap is not an error: the best
-    iterate is returned with converged=False in the diagnostics.
-    """
+    """Optimal static policy of one window: `solve_windows` on that window alone."""
     slots = np.asarray(window_slots, dtype=int)
     if slots.size == 0:
         raise ValueError("window_slots must be nonempty")
-    if solver is None:
-        solver = SolverConfig()
-    demands = trace.demand[slots - 1]
-    pi = init_uniform(topology)
-
-    if solver.step_size is not None:
-        step = solver.step_size
-    else:
-        window_lipschitz = lipschitz_bound(topology, float(demands.max()), params)
-        if window_lipschitz == 0.0:
-            # No demand anywhere in the window: every feasible policy is optimal.
-            objective = window_objective(pi, demands, topology, params)
-            return pi, objective, WindowDiagnostics(0, 0.0, True)
-        step = 1.0 / (slots.size * window_lipschitz)
-
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, solver.max_iterations + 1):
-        grad = window_gradient(pi, demands, topology, params)
-        updated = egd_step(pi, grad, step)
-        residual = float(np.abs(updated - pi).sum())
-        pi = updated
-        if residual <= solver.tolerance:
-            break
-    converged = residual <= solver.tolerance
-    objective = window_objective(pi, demands, topology, params)
-    return pi, objective, WindowDiagnostics(iterations, residual, converged)
+    demands = np.ascontiguousarray(trace.demand[slots - 1].T)[None]
+    solution = solve_windows(topology, demands, params, solver)
+    return solution.zone_policies[0], solution.zone_objectives[0], solution.diagnostics[0]
 
 
 def solve_periodic_static(
@@ -173,13 +172,11 @@ def solve_periodic_static(
         raise ValueError(
             f"partition horizon {partition.horizon} != trace horizon {trace.horizon}"
         )
-    policies, objectives, diagnostics = [], [], []
-    for window in partition.windows():
-        pi, objective, diag = solve_window(topology, trace, window, params, solver)
-        policies.append(pi)
-        objectives.append(objective)
-        diagnostics.append(diag)
-    return BenchmarkSolution(policies, objectives, diagnostics)
+    periods, zones, width = partition.periods, partition.zones, partition.slots_per_zone
+    # (period, zone, slot, location) -> (zone, location, period, slot): window
+    # k's slots in calendar order, as `TimePartition.window(k)` lists them.
+    demands = trace.demand.reshape(periods, zones, width, -1).transpose(1, 3, 0, 2)
+    return solve_windows(topology, demands.reshape(zones, trace.n_locations, -1), params, solver)
 
 
 def solve_static(

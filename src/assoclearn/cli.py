@@ -19,7 +19,7 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,11 +182,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfig, dict]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if seed_override is not None:
@@ -414,17 +410,12 @@ def _combo_config(config: ExperimentConfig, combo: dict) -> ExperimentConfig:
         cost = CostParams(alpha=float(combo["alpha"]), rho0=float(combo["rho0"]), psi=config.cost.psi)
     except ValueError as exc:
         raise ConfigError(f"key 'sweep': {exc}") from None
-    return ExperimentConfig(
-        seed=config.seed,
-        topology_source=config.topology_source,
-        traffic_source=config.traffic_source,
+    return replace(
+        config,
         zones=int(combo["zones"]),
         slots_per_zone=int(combo["slots_per_zone"]),
         cost=cost,
         eta=combo["eta"],
-        solver=config.solver,
-        benchmark_static=config.benchmark_static,
-        benchmark_dynamic=config.benchmark_dynamic,
         sweep_lists={},
     )
 

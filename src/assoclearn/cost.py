@@ -39,6 +39,13 @@ class CostParams:
                 "rho0 = 1 is only allowed for alpha = 0; the cost and its "
                 "gradient are unbounded at full load otherwise"
             )
+        with np.errstate(over="ignore"):
+            slope = max(1.0, self.psi) * np.float64(1.0 - self.rho0) ** (-self.alpha)
+        if np.isinf(slope):
+            raise ValueError(
+                f"alpha = {self.alpha} with rho0 = {self.rho0}: the overload "
+                "slope psi * (1 - rho0)^-alpha overflows a float"
+            )
 
 
 def validate_policy(pi: np.ndarray, topology: Topology, atol: float = 1e-9) -> None:

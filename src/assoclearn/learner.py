@@ -38,11 +38,13 @@ def init_uniform(topology: Topology) -> np.ndarray:
     return topology.support / counts[None, :]
 
 
-def egd_step(pi: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+def egd_step(pi: np.ndarray, grad: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
     """One multiplicative update: pi_ji * exp(-eta * g_ji), renormalized per column.
 
-    Exponents are max-shifted per column before exponentiation, so the update
-    is overflow-free for any gradient scale. Zero entries stay exactly zero.
+    pi and grad may be (K, n_aps, n_locations) stacks, with eta of shape
+    (K, 1, 1) for one step per policy. Exponents are max-shifted per column
+    before exponentiation, so the update is overflow-free for any gradient
+    scale. Zero entries stay exactly zero.
     """
     pi = np.asarray(pi, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -50,12 +52,12 @@ def egd_step(pi: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError("policy and gradient shapes differ")
     support = pi > 0
     exponent = np.where(support, -eta * grad, -np.inf)
-    shift = exponent.max(axis=0)
-    weights = pi * np.exp(exponent - shift[None, :])
-    totals = weights.sum(axis=0)
+    shift = exponent.max(axis=-2, keepdims=True)
+    weights = pi * np.exp(exponent - shift)
+    totals = weights.sum(axis=-2, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("a location lost all routing mass; policy column was empty")
-    return weights / totals[None, :]
+    return weights / totals
 
 
 def entropy_regularizer(pi: np.ndarray) -> float:

@@ -268,14 +268,3 @@ def runlog_to_csv(log: RunLog, path) -> None:
                     int(counts[t]),
                 ]
             )
-
-
-def runlog_to_dict(log: RunLog) -> dict:
-    return {
-        "costs": [float(x) for x in log.costs],
-        "loads": [[float(x) for x in row] for row in log.loads],
-        "zones": [int(z) for z in log.zones],
-        "violations": [[bool(v) for v in row] for row in log.violations],
-        "rho0": log.rho0,
-        "support_loss_events": log.support_loss_events,
-    }

@@ -171,6 +171,31 @@ class TestPeriodicStatic:
         costs, _ = replay_benchmark(solution, trace, partition, topo, params)
         assert costs.sum() == pytest.approx(solution.total_objective, rel=1e-12)
 
+    def test_batched_windows_match_single_window_solves(self, rng):
+        zones, width = int(rng.integers(3, 6)), int(rng.integers(1, 4))
+        partition = build_partition(2 * zones * width, zones, width)
+        topo = make_random_topology(rng, 4, 3)
+        demand = rng.uniform(0.1, 0.9, (partition.horizon, 4))
+        idle = int(rng.integers(1, zones + 1))
+        demand[partition.window(idle) - 1] = 0.0
+        trace = toy_trace(demand)
+        params = CostParams(alpha=2, rho0=0.8)
+        free = solve_periodic_static(topo, trace, partition, params)
+        counts = sorted(d.iterations for d in free.diagnostics if d.iterations)
+        # a cap at the median count stops the slower windows, not the faster ones
+        solver = SolverConfig(max_iterations=counts[len(counts) // 2])
+        solution = solve_periodic_static(topo, trace, partition, params, solver)
+        diagnostics = solution.diagnostics
+        assert diagnostics[idle - 1].iterations == 0 and diagnostics[idle - 1].converged
+        assert not all(d.converged for d in diagnostics)
+        assert sum(d.converged and d.iterations > 0 for d in diagnostics) >= 1
+        for k, window in enumerate(partition.windows()):
+            pi, objective, diag = solve_window(topo, trace, window, params, solver)
+            assert diag.iterations == diagnostics[k].iterations
+            assert diag.converged == diagnostics[k].converged
+            assert objective == pytest.approx(solution.zone_objectives[k], rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(pi, solution.zone_policies[k], rtol=0, atol=1e-12)
+
 
 class TestBenchmarkJson:
     def test_round_trip(self, rng):

@@ -141,6 +141,13 @@ class TestValidateAndErrors:
         assert main(["validate", "--config", config]) == 2
         assert "cost" in capsys.readouterr().err
 
+    def test_overflowing_cost_is_config_error(self, tmp_path, capsys):
+        config = minimal_config(tmp_path, cost={"alpha": 200.0, "rho0": 0.99})
+        assert main(["validate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "config error: key 'cost'" in err and "200.0" in err and "0.99" in err
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+
     def test_missing_section_names_key(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"seed": 1})
         assert main(["validate", "--config", config]) == 2

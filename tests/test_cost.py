@@ -47,6 +47,15 @@ class TestCostParams:
         with pytest.raises(ValueError):
             CostParams(alpha=2.0, rho0=1.0)
 
+    def test_overflowing_overload_slope_rejected(self):
+        with pytest.raises(ValueError, match=r"alpha = 200.0 with rho0 = 0.99"):
+            CostParams(alpha=200.0, rho0=0.99)
+        with pytest.raises(ValueError, match="overflow"):
+            CostParams(alpha=2.0, rho0=0.99999, psi=1e300)
+        # a slope near the float limit that does not overflow is accepted
+        params = CostParams(alpha=150.0, rho0=0.99)
+        assert np.isfinite(lipschitz_bound(Topology(service_rate=np.ones((1, 1))), 1.0, params))
+
 
 class TestApLoad:
     def test_zero_demand(self, two_ap_topology):

@@ -64,6 +64,15 @@ class TestEgdStep:
             np.testing.assert_allclose(pi.sum(axis=0), np.ones(6), atol=1e-9)
             assert ((pi > 0) == topo.support).all()
 
+    def test_stack_matches_per_policy_calls(self, rng):
+        topo = make_random_topology(rng, 5, 3)
+        pis = np.stack([make_random_policy(rng, topo) for _ in range(4)])
+        grads = rng.normal(scale=2.0, size=pis.shape) * topo.support
+        steps = rng.uniform(0.1, 2.0, 4)
+        stacked = egd_step(pis, grads, steps[:, None, None])
+        for k in range(4):
+            np.testing.assert_array_equal(stacked[k], egd_step(pis[k], grads[k], steps[k]))
+
     def test_huge_gradients_stay_finite(self):
         pi = np.array([[0.5], [0.5]])
         grad = np.array([[1e6], [-1e6]])

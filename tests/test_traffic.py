@@ -149,6 +149,12 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=fragment):
             load_trace_csv(path, n_locations=3)
 
+    def test_duplicate_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,location_id,intensity\n1,1,0.5\n2,1,1.0\n1,1,9.0\n")
+        with pytest.raises(ValueError, match=r"line 4: duplicate t=1, location_id=1 of line 2"):
+            load_trace_csv(path, n_locations=1)
+
     def test_horizon_too_small_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("5,1,1.0\n")
