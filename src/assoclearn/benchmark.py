@@ -103,7 +103,8 @@ def solve_windows(
     window leaves the stack once a step moves it by at most the tolerance.
     Windows without demand are optimal at the uniform split and take no
     step. Non-convergence within the iteration cap is not an error: the last
-    iterate is returned with converged=False in the diagnostics.
+    iterate is returned with converged=False in the diagnostics. A step
+    bound window_length * L_k that overflows a float raises ValueError.
     """
     solver = solver or SolverConfig()
     n_windows, _, window_length = demands.shape
@@ -113,8 +114,17 @@ def solve_windows(
     else:
         peaks = demands.max(axis=(1, 2))
         lipschitz = np.array([lipschitz_bound(topology, float(p), params) for p in peaks])
+        with np.errstate(over="ignore"):
+            bounds = window_length * lipschitz
+        unbounded = np.flatnonzero(~np.isfinite(bounds))
+        if unbounded.size:
+            k = unbounded[0]
+            raise ValueError(
+                f"window {k + 1}: step bound {window_length} * L is not finite "
+                f"(peak demand {peaks[k]}, L = {lipschitz[k]})"
+            )
         with np.errstate(divide="ignore"):
-            steps = 1.0 / (window_length * lipschitz)  # inf for a window without demand
+            steps = 1.0 / bounds  # inf for a window without demand
     iterations, residuals = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
     active = np.flatnonzero(np.isfinite(steps))
     current, step = pi[active], steps[active, None, None]

@@ -25,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import SolverConfig, solve_dynamic, solve_periodic_static, solve_static
+from .benchmark import (
+    BenchmarkSolution,
+    SolverConfig,
+    solve_dynamic,
+    solve_periodic_static,
+    solve_static,
+)
 from .cost import CostParams, lipschitz_bound
 from .learner import LearnerConfig, run_online
 from .metrics import (
@@ -45,6 +51,7 @@ from .topology import (
 )
 from .traffic import (
     SyntheticProfile,
+    TrafficTrace,
     build_partition,
     generate_synthetic,
     load_trace_csv,
@@ -278,27 +285,52 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_experiment(config: ExperimentConfig, out_dir, raw_config: dict | None = None) -> dict:
+def _solve(solved: dict, key: tuple, solve, *args) -> BenchmarkSolution:
+    """The hindsight solution kept under key, solved on first use."""
+    if key not in solved:
+        try:
+            solved[key] = solve(*args)
+        except ValueError as exc:
+            raise ConfigError(f"key 'traffic': {exc}") from None
+    return solved[key]
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    out_dir,
+    raw_config: dict | None = None,
+    inputs: tuple[Topology, TrafficTrace] | None = None,
+    solved: dict | None = None,
+) -> dict:
     """Execute one configuration and write its artifacts into out_dir.
 
-    Returns the manifest dictionary (also written as manifest.json).
+    A sweep passes the (topology, trace) it built once as inputs, and one
+    `solved` dict for all its combinations: hindsight solutions are kept
+    there under a key of everything they depend on (never eta), so
+    combinations with equal keys share one solve. Returns the manifest
+    dictionary (also written as manifest.json).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    topology = build_experiment_topology(config)
-    trace = build_experiment_trace(config, topology)
+    if inputs is None:
+        topology = build_experiment_topology(config)
+        inputs = topology, build_experiment_trace(config, topology)
+    topology, trace = inputs
     try:
         partition = build_partition(trace.horizon, config.zones, config.slots_per_zone)
     except ValueError as exc:
         raise ConfigError(f"key 'partition': {exc}") from None
 
+    solved = {} if solved is None else solved
+    common = (config.cost, config.solver)
+    benchmark = _solve(
+        solved, (config.zones, config.slots_per_zone) + common,
+        solve_periodic_static, topology, trace, partition, *common,
+    )
     eta, eta_note = resolve_eta(config.eta, topology, trace, config.zones, config.cost)
     run = run_online(
         topology, trace, partition, config.cost, LearnerConfig(eta=eta)
-    )
-    benchmark = solve_periodic_static(
-        topology, trace, partition, config.cost, config.solver
     )
     report = regret(
         run.log.costs,
@@ -325,15 +357,11 @@ def run_experiment(config: ExperimentConfig, out_dir, raw_config: dict | None = 
     _write_json("regret.json", report.to_dict())
     _write_json("benchmark.json", benchmark.to_dict())
     if config.benchmark_static:
-        _write_json(
-            "benchmark_static.json",
-            solve_static(topology, trace, config.cost, config.solver).to_dict(),
-        )
+        static = _solve(solved, ("static",) + common, solve_static, topology, trace, *common)
+        _write_json("benchmark_static.json", static.to_dict())
     if config.benchmark_dynamic:
-        _write_json(
-            "benchmark_dynamic.json",
-            solve_dynamic(topology, trace, config.cost, config.solver).to_dict(),
-        )
+        dynamic = _solve(solved, ("dynamic",) + common, solve_dynamic, topology, trace, *common)
+        _write_json("benchmark_dynamic.json", dynamic.to_dict())
 
     manifest = {
         "package_version": __version__,
@@ -424,27 +452,55 @@ def _combo_dirname(combo: dict) -> str:
     return "K{zones}_rho{rho0}_alpha{alpha}_eta{eta}".format(**combo)
 
 
-def _run_combo(args: tuple) -> tuple[dict, dict | None, str | None]:
-    config, combo, out_dir = args
-    try:
-        sub = _combo_config(config, combo)
-        manifest = run_experiment(sub, Path(out_dir) / _combo_dirname(combo))
-        return combo, manifest, None
-    except Exception as exc:  # recorded per row; the sweep keeps going
-        return combo, None, f"{type(exc).__name__}: {exc}"
+def _run_combos(args: tuple) -> list[tuple[dict, dict | None, str | None]]:
+    """Run combinations in order on shared inputs and one store of solves."""
+    config, inputs, combos, out_dir = args
+    solved = {}
+    results = []
+    for combo in combos:
+        try:
+            sub = _combo_config(config, combo)
+            out = Path(out_dir) / _combo_dirname(combo)
+            results.append((combo, run_experiment(sub, out, inputs=inputs, solved=solved), None))
+        except Exception as exc:  # recorded per row; the sweep keeps going
+            results.append((combo, None, f"{type(exc).__name__}: {exc}"))
+    return results
+
+
+def _share_key(config: ExperimentConfig, combo: dict) -> str:
+    """Combinations that may share a solve: every benchmark key holds the
+    cost, and the periodic one the zones too. A group runs in one worker
+    and keeps its solves until its last combination is done."""
+    names = ["alpha", "rho0"]
+    if not (config.benchmark_static or config.benchmark_dynamic):
+        names.append("zones")
+    return repr([combo[name] for name in names])
 
 
 def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
-    """All sweep combinations; one consolidated CSV plus per-combo artifacts."""
+    """All sweep combinations; one consolidated CSV plus per-combo artifacts.
+
+    The topology and trace are built once, before any combination runs, so
+    an error in them ends the sweep. Combinations that could share a
+    hindsight solve run as one group, so each distinct benchmark is solved
+    once, also with jobs > 1.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     combos = _sweep_combos(config)
-    tasks = [(config, combo, str(out)) for combo in combos]
+    topology = build_experiment_topology(config)
+    inputs = topology, build_experiment_trace(config, topology)
+    groups = {}
+    for index, combo in enumerate(combos):
+        groups.setdefault(_share_key(config, combo), []).append(index)
+    tasks = [(config, inputs, [combos[i] for i in group], str(out)) for group in groups.values()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_combo, tasks))
+            done = list(pool.map(_run_combos, tasks))
     else:
-        results = [_run_combo(task) for task in tasks]
+        done = [_run_combos(task) for task in tasks]
+    by_index = dict(zip(itertools.chain(*groups.values()), itertools.chain(*done)))
+    results = [by_index[i] for i in range(len(combos))]
 
     rows = []
     for combo, manifest, error in results:

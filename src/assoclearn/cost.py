@@ -110,25 +110,18 @@ def load_slope(loads: np.ndarray, params: CostParams) -> np.ndarray:
     the threshold itself takes the interior branch.
     """
     loads = np.asarray(loads, dtype=float)
-    inside = loads <= params.rho0
-    slope = np.empty_like(loads)
-    slope[inside] = (1.0 - loads[inside]) ** (-params.alpha)
-    slope[~inside] = params.psi * (1.0 - params.rho0) ** (-params.alpha)
-    return slope
+    overload_slope = params.psi * (1.0 - params.rho0) ** (-params.alpha)
+    interior = (1.0 - np.minimum(loads, params.rho0)) ** (-params.alpha)
+    return np.where(loads <= params.rho0, interior, overload_slope)
 
 
 def penalized_values(loads: np.ndarray, params: CostParams) -> np.ndarray:
     """Elementwise penalized cost V_j: phi below rho0, linear extension above."""
     loads = np.asarray(loads, dtype=float)
-    inside = loads <= params.rho0
-    values = np.empty_like(loads)
-    values[inside] = _phi(loads[inside], params.alpha)
     overload_slope = params.psi * (1.0 - params.rho0) ** (-params.alpha)
-    values[~inside] = (
-        _phi(np.float64(params.rho0), params.alpha)
-        + overload_slope * (loads[~inside] - params.rho0)
-    )
-    return values
+    interior = _phi(np.minimum(loads, params.rho0), params.alpha)
+    extension = _phi(np.float64(params.rho0), params.alpha) + overload_slope * (loads - params.rho0)
+    return np.where(loads <= params.rho0, interior, extension)
 
 
 def penalized_cost_from_loads(loads: np.ndarray, params: CostParams) -> float:
@@ -145,9 +138,13 @@ def penalized_cost(
 def grad_from_loads(
     loads: np.ndarray, lam: np.ndarray, topology: Topology, params: CostParams
 ) -> np.ndarray:
-    """Gradient of V given precomputed loads; zero outside the link support."""
+    """Gradient of V given precomputed loads; zero outside the link support.
+
+    loads (..., n_aps) and lam (..., n_locations) may carry the same leading
+    axes, giving one gradient per leading index.
+    """
     scale = load_slope(loads, params)
-    return (scale[:, None] * topology.inverse_rate) * np.asarray(lam, dtype=float)[None, :]
+    return (scale[..., None] * topology.inverse_rate) * np.asarray(lam, dtype=float)[..., None, :]
 
 
 def grad_penalized_cost(

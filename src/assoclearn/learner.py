@@ -7,6 +7,8 @@ normalization, which stays on the simplex without projections. The online
 runner keeps one update thread per time zone; a thread starts from the
 uniform split at its window's first slot and otherwise advances from the
 policy and gradient it stored at the previous slot of the same window.
+Every window has the same length, so the threads advance in lock-step,
+one window rank at a time, as a stack of policies.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostParams, grad_from_loads, penalized_cost_from_loads
+from .cost import CostParams, grad_from_loads, penalized_values
 from .topology import Topology
-from .traffic import TimePartition, TrafficTrace, window_of
+from .traffic import TimePartition, TrafficTrace
+
+# Policy entries per lock-step block of threads: a larger stack falls out of
+# cache, and a step on it then costs more than steps on smaller blocks.
+STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,10 @@ def egd_step(pi: np.ndarray, grad: np.ndarray, eta: float | np.ndarray) -> np.nd
     support = pi > 0
     exponent = np.where(support, -eta * grad, -np.inf)
     shift = exponent.max(axis=-2, keepdims=True)
-    weights = pi * np.exp(exponent - shift)
+    # exp(-inf) takes a slow path; off-support entries are zeroed by pi anyway
+    weights = pi * np.exp(np.where(support, exponent - shift, 0.0))
     totals = weights.sum(axis=-2, keepdims=True)
-    if np.any(totals <= 0):
+    if (totals <= 0).any():
         raise ValueError("a location lost all routing mass; policy column was empty")
     return weights / totals
 
@@ -126,6 +133,12 @@ def run_online(
     state stored at the window's previous slot. The demand then arrives, the
     realized cost and loads are logged, and the gradient at the played
     policy is stored for the thread's next slot.
+
+    With the demand reshaped to (period, zone, slot, location), rank
+    p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
+    therefore runs over the periods * slots_per_zone ranks and advances
+    blocks of at most STACK_ENTRIES / (n_aps * n_locations) threads (at
+    least one) as one policy stack.
     """
     if partition.horizon != trace.horizon:
         raise ValueError(
@@ -134,44 +147,43 @@ def run_online(
     if trace.n_locations != topology.n_locations:
         raise ValueError("trace and topology disagree on the number of locations")
 
-    n_zones = partition.zones
-    horizon = trace.horizon
-    zone_pi = [None] * n_zones
-    zone_grad = [None] * n_zones
+    periods, n_zones, width = partition.periods, partition.zones, partition.slots_per_zone
+    n_aps, n_locations = topology.n_aps, topology.n_locations
+    demand = trace.demand.reshape(periods, n_zones, width, n_locations)
+    loads = np.empty((periods, n_zones, width, n_aps))
+    kept = np.empty((periods, n_zones, width, n_aps, n_locations)) if config.keep_policies else None
+    zone_pi = np.empty((n_zones, n_aps, n_locations))
     uniform = init_uniform(topology)
-
-    costs = np.empty(horizon)
-    loads = np.empty((horizon, topology.n_aps))
-    zones = np.empty(horizon, dtype=int)
+    block = max(1, STACK_ENTRIES // (n_aps * n_locations))
     support_losses = 0
-    kept = np.empty((horizon, topology.n_aps, topology.n_locations)) if config.keep_policies else None
 
-    for t in range(1, horizon + 1):
-        zone, _, first = window_of(partition, t)
-        if first:
-            pi = uniform
-        else:
-            previous = zone_pi[zone - 1]
-            pi = egd_step(previous, zone_grad[zone - 1], config.eta)
-            support_losses += int(np.count_nonzero((previous > 0) & (pi == 0)))
+    for start in range(0, n_zones, block):
+        threads = slice(start, min(start + block, n_zones))
+        pi = np.repeat(uniform[None], threads.stop - start, axis=0)
+        for rank in range(periods * width):
+            p, s = divmod(rank, width)
+            if rank:
+                previous = pi
+                pi = egd_step(previous, grad, config.eta)
+                support_losses += int(np.count_nonzero((previous > 0) & (pi == 0)))
 
-        lam = trace.demand[t - 1]
-        slot_loads = (pi * topology.inverse_rate) @ lam
-        costs[t - 1] = penalized_cost_from_loads(slot_loads, params)
-        loads[t - 1] = slot_loads
-        zones[t - 1] = zone
-        if kept is not None:
-            kept[t - 1] = pi
+            lam = demand[p, threads, s]
+            slot_loads = ((pi * topology.inverse_rate) @ lam[:, :, None])[:, :, 0]
+            loads[p, threads, s] = slot_loads
+            if kept is not None:
+                kept[p, threads, s] = pi
+            grad = grad_from_loads(slot_loads, lam, topology, params)
+        zone_pi[threads] = pi
 
-        zone_pi[zone - 1] = pi
-        zone_grad[zone - 1] = grad_from_loads(slot_loads, lam, topology, params)
-
+    horizon = trace.horizon
+    loads = loads.reshape(horizon, n_aps)
     log = RunLog(
-        costs=costs,
+        costs=penalized_values(loads, params).sum(axis=1),
         loads=loads,
-        zones=zones,
+        zones=np.tile(np.repeat(np.arange(1, n_zones + 1), width), periods),
         violations=loads > params.rho0,
         rho0=params.rho0,
         support_loss_events=support_losses,
     )
-    return OnlineRun(log=log, zone_policies=zone_pi, policies=kept)
+    policies = None if kept is None else kept.reshape(horizon, n_aps, n_locations)
+    return OnlineRun(log=log, zone_policies=list(zone_pi), policies=policies)

@@ -92,6 +92,14 @@ class TestSolveWindow:
         )
         assert not diag.converged and diag.iterations == 3
 
+    def test_unbounded_step_rejected(self):
+        # the overload slope 1e300 times a demand of 1e10 overflows the
+        # Lipschitz bound; a zero step would leave NaN policies behind
+        topo = Topology(service_rate=np.array([[1.0], [1.0]]))
+        trace = toy_trace(np.full((4, 1), 1e10))
+        with pytest.raises(ValueError, match="window 1: step bound"):
+            solve_window(topo, trace, np.arange(1, 5), CostParams(alpha=150, rho0=0.99))
+
 
 class TestPeriodicStatic:
     def test_constant_trace_zone_objectives_equal(self, rng):

@@ -148,6 +148,24 @@ class TestValidateAndErrors:
         assert "config error: key 'cost'" in err and "200.0" in err and "0.99" in err
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
 
+    def test_unbounded_solver_step_is_config_error(self, tmp_path, capsys):
+        # overload slope 1e300 (accepted) times a demand of 1e10 overflows the
+        # solver's step bound, which only the trace can reveal
+        topo_path = tmp_path / "topology.json"
+        save_topology_json(Topology(service_rate=np.array([[1.0], [1.0]])), topo_path)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("".join(f"{t},1,1e10\n" for t in range(1, 5)))
+        config = write_json(tmp_path / "huge.json", {
+            "topology": {"source": "file", "path": str(topo_path)},
+            "traffic": {"source": "csv", "path": str(trace_path), "n_locations": 1},
+            "partition": {"zones": 1, "slots_per_zone": 4},
+            "cost": {"alpha": 150.0, "rho0": 0.99},
+        })
+        assert main(["validate", "--config", config]) == 0
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: key 'traffic'" in err and "window 1" in err
+
     def test_missing_section_names_key(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"seed": 1})
         assert main(["validate", "--config", config]) == 2
@@ -209,6 +227,17 @@ class TestSweep:
         doc.update(extra)
         return write_json(tmp_path / "sweep.json", doc)
 
+    def csv_sweep_config(self, tmp_path, **extra):
+        """Generated topology, trace read from a CSV file, period of 6 slots."""
+        trace_path = tmp_path / "trace.csv"
+        assert main(["gen-trace", "--config", minimal_config(tmp_path), "--out", str(trace_path)]) == 0
+        doc = json.loads((tmp_path / "config.json").read_text())
+        doc["traffic"] = {"source": "csv", "path": str(trace_path), "n_locations": 4}
+        doc["partition"] = {"zones": 2, "slots_per_zone": 3}
+        doc["solver"] = {"max_iterations": 300}
+        doc.update(extra)
+        return write_json(tmp_path / "csv_sweep.json", doc)
+
     def read_rows(self, out):
         with open(out / "sweep.csv", newline="") as fh:
             return list(csv.DictReader(fh))
@@ -257,7 +286,69 @@ class TestSweep:
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         assert main(["sweep", "--config", config, "--out", str(out1)]) == 0
         assert main(["sweep", "--config", config, "--out", str(out2), "--jobs", "2"]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert len(files) == 1 + 4 * 4  # sweep.csv, four files per combination
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_inputs_built_and_benchmarks_solved_once(self, tmp_path, monkeypatch):
+        from assoclearn import cli
+
+        calls = {}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("build_topology", "load_trace_csv", "solve_periodic_static", "solve_static"):
+            counted(name)
+        config = self.csv_sweep_config(
+            tmp_path,
+            sweep={"zones": [1, 2], "rho0": [0.5, 1.0], "eta": [0.2, 0.5]},
+            benchmarks={"static": True},
+        )
+        calls.clear()  # writing the trace built the topology once
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert len(self.read_rows(tmp_path / "out")) == 8
+        # the benchmarks depend on (zones, rho0) and on rho0 alone, never on eta
+        assert calls == {
+            "build_topology": 1, "load_trace_csv": 1, "solve_periodic_static": 4, "solve_static": 2,
+        }
+
+    def test_combination_files_match_single_runs(self, tmp_path):
+        config = self.csv_sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "csv_sweep.json").read_text())
+        del doc["sweep"]
+        for zones in (1, 2):
+            for eta in (0.2, 0.5):
+                doc.update(partition={"zones": zones, "slots_per_zone": 6 // zones}, eta=eta)
+                single = tmp_path / f"single_{zones}_{eta}"
+                single_config = write_json(tmp_path / "single.json", doc)
+                assert main(["run", "--config", single_config, "--out", str(single)]) == 0
+                combo = out / f"K{zones}_rho1.0_alpha0.0_eta{eta}"
+                for name in ("benchmark.json", "runlog.csv", "regret.json"):
+                    assert (combo / name).read_bytes() == (single / name).read_bytes(), (combo, name)
+
+    def test_input_errors_end_sweep(self, tmp_path, capsys):
+        config = self.csv_sweep_config(tmp_path, sweep={"zones": [1, 2]})
+        trace_path = tmp_path / "trace.csv"
+        trace_path.rename(tmp_path / "moved.csv")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not any(out.iterdir())
+        trace_path.write_text("t,location_id,intensity\n1,9,1.0\n")
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert "config error: key 'traffic.path'" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_failed_combination_recorded(self, tmp_path):
         # alpha=2 with rho0=1 is an invalid cost combination

@@ -14,6 +14,7 @@ from assoclearn import (
     total_load,
     validate_policy,
 )
+from assoclearn.cost import load_slope, penalized_values
 from conftest import make_random_policy, make_random_topology
 
 
@@ -151,6 +152,26 @@ class TestPenalizedCost:
             gap = penalized_cost(p1, lam, topo, params) - penalized_cost(p2, lam, topo, params)
             inner = float(np.sum(grad_penalized_cost(p1, lam, topo, params) * (p1 - p2)))
             assert gap <= inner + 1e-9
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_where_form_matches_mask_form(self, alpha, rng):
+        # the branch select must give the bits of a gather/scatter over the
+        # loads below, at and above the threshold
+        params = CostParams(alpha=alpha, rho0=0.7, psi=1.5)
+        loads = np.concatenate([rng.uniform(0, 0.7, 50), [0.0, 0.7, 0.7], rng.uniform(0.7, 3, 50)])
+        loads = rng.permutation(loads).reshape(103, 1) * np.ones((1, 4))
+        inside = loads <= params.rho0
+        overload_slope = params.psi * (1.0 - params.rho0) ** (-alpha)
+        slope = np.empty_like(loads)
+        slope[inside] = (1.0 - loads[inside]) ** (-alpha)
+        slope[~inside] = overload_slope
+        phi = (lambda x: -np.log(1.0 - x)) if alpha == 1 else (lambda x: (1.0 - x) ** (1.0 - alpha) / (alpha - 1.0))
+        values = np.empty_like(loads)
+        values[inside] = phi(loads[inside])
+        values[~inside] = phi(np.float64(params.rho0)) + overload_slope * (loads[~inside] - params.rho0)
+        np.testing.assert_array_equal(load_slope(loads, params), slope)
+        np.testing.assert_array_equal(penalized_values(loads, params), values)
 
 
 class TestGradient:

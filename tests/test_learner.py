@@ -12,10 +12,12 @@ from assoclearn import (
     grad_penalized_cost,
     init_uniform,
     mirror_map,
+    penalized_cost_from_loads,
     run_online,
     validate_policy,
     window_of,
 )
+from assoclearn.cost import grad_from_loads
 from conftest import make_random_policy, make_random_topology
 
 
@@ -246,3 +248,37 @@ class TestRunOnline:
         partition = build_partition(8, 2, 2)
         with pytest.raises(ValueError):
             run_online(topo, trace, partition, CostParams(alpha=0), LearnerConfig(eta=0.1))
+
+    def test_lockstep_blocks_match_per_slot_loop(self, rng):
+        # n_aps * n_locations = 18,000 > 2**16 / 4 zones: threads advance in
+        # blocks of 3 and 1, and must replay the per-slot scheme bit for bit
+        topo = make_random_topology(rng, 6000, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
+        periods, zones, width = 2, 4, 3
+        horizon = periods * zones * width
+        trace = toy_trace(rng.uniform(0.0, 1e-3, (horizon, 6000)))
+        partition = build_partition(horizon, zones, width)
+        params = CostParams(alpha=2, rho0=0.9)  # AP loads lie on both sides of rho0
+        eta = 1e4  # large enough for some policy entries to underflow
+        run = run_online(topo, trace, partition, params, LearnerConfig(eta=eta, keep_policies=True))
+
+        inverse_rate = topo.inverse_rate
+        state = {}
+        losses = 0
+        for t in range(horizon):
+            zone = (t // width) % zones
+            if zone not in state:  # the window's first slot
+                pi = init_uniform(topo)
+            else:
+                previous, grad = state[zone]
+                pi = egd_step(previous, grad, eta)
+                losses += int(np.count_nonzero((previous > 0) & (pi == 0)))
+            lam = trace.demand[t]
+            loads = (pi * inverse_rate) @ lam
+            np.testing.assert_array_equal(run.policies[t], pi)
+            np.testing.assert_array_equal(run.log.loads[t], loads)
+            assert run.log.costs[t] == penalized_cost_from_loads(loads, params)
+            assert run.log.zones[t] == zone + 1
+            state[zone] = pi, grad_from_loads(loads, lam, topo, params)
+        assert run.log.support_loss_events == losses > 0
+        for zone in range(zones):
+            np.testing.assert_array_equal(run.zone_policies[zone], state[zone][0])
