@@ -23,19 +23,16 @@ from .traffic import TimePartition, TrafficTrace, build_partition
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap, fixed-point tolerance, and optional explicit step size."""
+    """Iteration cap and fixed-point tolerance."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-6
-    step_size: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -109,22 +106,19 @@ def solve_windows(
     solver = solver or SolverConfig()
     n_windows, _, window_length = demands.shape
     pi = np.repeat(init_uniform(topology)[None], n_windows, axis=0)
-    if solver.step_size is not None:
-        steps = np.full(n_windows, solver.step_size)
-    else:
-        peaks = demands.max(axis=(1, 2))
-        lipschitz = np.array([lipschitz_bound(topology, float(p), params) for p in peaks])
-        with np.errstate(over="ignore"):
-            bounds = window_length * lipschitz
-        unbounded = np.flatnonzero(~np.isfinite(bounds))
-        if unbounded.size:
-            k = unbounded[0]
-            raise ValueError(
-                f"window {k + 1}: step bound {window_length} * L is not finite "
-                f"(peak demand {peaks[k]}, L = {lipschitz[k]})"
-            )
-        with np.errstate(divide="ignore"):
-            steps = 1.0 / bounds  # inf for a window without demand
+    peaks = demands.max(axis=(1, 2))
+    lipschitz = np.array([lipschitz_bound(topology, float(p), params) for p in peaks])
+    with np.errstate(over="ignore"):
+        bounds = window_length * lipschitz
+    unbounded = np.flatnonzero(~np.isfinite(bounds))
+    if unbounded.size:
+        k = unbounded[0]
+        raise ValueError(
+            f"window {k + 1}: step bound {window_length} * L is not finite "
+            f"(peak demand {peaks[k]}, L = {lipschitz[k]})"
+        )
+    with np.errstate(divide="ignore"):
+        steps = 1.0 / bounds  # inf for a window without demand
     iterations, residuals = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
     active = np.flatnonzero(np.isfinite(steps))
     current, step = pi[active], steps[active, None, None]

@@ -34,12 +34,7 @@ from .benchmark import (
 )
 from .cost import CostParams, lipschitz_bound
 from .learner import LearnerConfig, run_online
-from .metrics import (
-    count_violations,
-    regret,
-    runlog_to_csv,
-    theoretical_bound,
-)
+from .metrics import regret, runlog_to_csv, theoretical_bound
 from .topology import (
     RadioConfig,
     Topology,
@@ -50,6 +45,7 @@ from .topology import (
     save_topology_json,
 )
 from .traffic import (
+    SHAPES,
     SyntheticProfile,
     TrafficTrace,
     build_partition,
@@ -67,17 +63,127 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending key."""
 
 
-def _get(doc: dict, key: str, kind, where: str, default=...):
-    if key not in doc:
-        if default is not ...:
-            return default
-        raise ConfigError(f"missing key '{where}.{key}'")
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"key '{where}.{key}' must be {getattr(kind, '__name__', kind)}")
-    return value
+# A kind is (what a valid value is, its test, the conversion of a valid value).
+# JSON numbers parse to int or float; type() keeps true and false out of them.
+NUMBER = ("a number", lambda v: type(v) in (int, float), float)
+COUNT = ("a positive integer", lambda v: type(v) is int and v > 0, int)
+SEED = ("a non-negative integer", lambda v: type(v) is int and v >= 0, int)
+STEP = (
+    "a positive number or 'auto'",
+    lambda v: v == "auto" or type(v) in (int, float) and v > 0,
+    lambda v: v if v == "auto" else float(v),
+)
+TEXT = ("a string", lambda v: isinstance(v, str), str)
+FLAG = ("true or false", lambda v: isinstance(v, bool), bool)
+LIST = ("a list", lambda v: isinstance(v, list), list)
+SECTION = ("an object", lambda v: isinstance(v, dict), dict)
+
+
+def _one_of(*names):
+    return (" or ".join(map(repr, names)), lambda v: v in names, str)
+
+
+def _list_of(kind):
+    """A nonempty list of values of kind, kept as written (sweep directory names show them)."""
+    text, test, _ = kind
+    return (
+        f"a nonempty list, each entry {text}",
+        lambda v: isinstance(v, list) and len(v) > 0 and all(map(test, v)),
+        list,
+    )
+
+
+REQUIRED, OPTIONAL = True, False
+
+# Every key a config may hold: section -> {key: (kind, required)}. A section
+# with a "source" also allows the keys of "<section>:<source>". An absent
+# optional key takes the default of the library call it feeds.
+SCHEMA = {
+    "": {
+        "seed": (SEED, OPTIONAL),
+        "topology": (SECTION, REQUIRED),
+        "traffic": (SECTION, REQUIRED),
+        "partition": (SECTION, REQUIRED),
+        "cost": (SECTION, REQUIRED),
+        "eta": (STEP, OPTIONAL),
+        "solver": (SECTION, OPTIONAL),
+        "benchmarks": (SECTION, OPTIONAL),
+        "sweep": (SECTION, OPTIONAL),
+    },
+    "topology": {"source": (_one_of("generate", "file"), REQUIRED)},
+    "topology:generate": {"radio": (SECTION, REQUIRED), "grid": (SECTION, REQUIRED)},
+    "topology:file": {"path": (TEXT, REQUIRED)},
+    "topology.radio": {
+        "ap_positions": (LIST, REQUIRED),
+        "ap_power_dbm": (LIST, REQUIRED),
+        "bandwidth_hz": (NUMBER, OPTIONAL),
+        "noise_dbm_per_hz": (NUMBER, OPTIONAL),
+        "path_loss_exponent": (NUMBER, OPTIONAL),
+        "rate_threshold_bps": (NUMBER, OPTIONAL),
+        "omega": (NUMBER, OPTIONAL),
+    },
+    "topology.grid": {"nx": (COUNT, REQUIRED), "ny": (COUNT, REQUIRED), "spacing": (NUMBER, OPTIONAL)},
+    "traffic": {"source": (_one_of("synthetic", "csv"), REQUIRED)},
+    "traffic:synthetic": {"horizon": (COUNT, REQUIRED), "profile": (SECTION, REQUIRED)},
+    "traffic:csv": {
+        "path": (TEXT, REQUIRED),
+        "n_locations": (COUNT, REQUIRED),
+        "horizon": (COUNT, OPTIONAL),
+    },
+    "traffic.profile": {
+        "slots_per_day": (COUNT, REQUIRED),
+        "base_min": (NUMBER, OPTIONAL),
+        "base_max": (NUMBER, OPTIONAL),
+        "shape": (_one_of(*SHAPES), OPTIONAL),
+        "amplitude": (NUMBER, OPTIONAL),
+        "sigma": (NUMBER, OPTIONAL),
+    },
+    "partition": {"zones": (COUNT, REQUIRED), "slots_per_zone": (COUNT, REQUIRED)},
+    "cost": {"alpha": (NUMBER, REQUIRED), "rho0": (NUMBER, OPTIONAL), "psi": (NUMBER, OPTIONAL)},
+    "solver": {"max_iterations": (COUNT, OPTIONAL), "tolerance": (NUMBER, OPTIONAL)},
+    "benchmarks": {"static": (FLAG, OPTIONAL), "dynamic": (FLAG, OPTIONAL)},
+    "sweep": {
+        "zones": (_list_of(COUNT), OPTIONAL),
+        "rho0": (_list_of(NUMBER), OPTIONAL),
+        "alpha": (_list_of(NUMBER), OPTIONAL),
+        "eta": (_list_of(STEP), OPTIONAL),
+    },
+}
+
+
+def _section(doc: dict, path: str) -> dict:
+    """doc checked against SCHEMA[path], values converted; absent optional keys are left out."""
+    table = SCHEMA[path]
+    prefix = f"{path}." if path else ""
+    checked = {}
+
+    def check(key):
+        (text, test, convert), required = table[key]
+        if key in doc:
+            if not test(doc[key]):
+                raise ConfigError(f"key '{prefix}{key}' must be {text}")
+            checked[key] = convert(doc[key])
+        elif required:
+            raise ConfigError(f"key '{prefix}{key}' is required")
+
+    if "source" in table:  # the chosen source brings its own keys
+        check("source")
+        table = {**table, **SCHEMA[f"{path}:{checked['source']}"]}
+    for key in doc:
+        if key not in table:
+            raise ConfigError(f"key '{prefix}{key}' is unknown")
+    for key in table:
+        check(key)
+    return checked
+
+
+def _build(make, doc: dict, path: str):
+    """make(**checked section); a value the library rejects is reported against the section."""
+    fields = _section(doc, path)
+    try:
+        return make(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key '{path}': {exc}") from None
 
 
 @dataclass
@@ -85,8 +191,12 @@ class ExperimentConfig:
     """Validated experiment description; see `parse_config`."""
 
     seed: int
-    topology_source: dict
-    traffic_source: dict
+    topology_path: str | None  # topology.source "file"; "generate" sets radio and locations
+    radio: RadioConfig | None
+    locations: np.ndarray | None
+    trace_csv: dict | None  # traffic.source "csv": the arguments of load_trace_csv
+    horizon: int | None  # traffic.source "synthetic": the trace length, with profile
+    profile: SyntheticProfile | None
     zones: int
     slots_per_zone: int
     cost: CostParams
@@ -98,92 +208,39 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    """Check the whole document against SCHEMA and build the library objects it sets."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
-    seed = _get(doc, "seed", int, "config", default=0)
-
-    topo = _get(doc, "topology", dict, "config")
-    source = _get(topo, "source", str, "topology")
-    if source == "generate":
-        _get(topo, "radio", dict, "topology")
-        _get(topo, "grid", dict, "topology")
-    elif source == "file":
-        _get(topo, "path", str, "topology")
-    else:
-        raise ConfigError("key 'topology.source' must be 'generate' or 'file'")
-
-    traffic = _get(doc, "traffic", dict, "config")
-    tsource = _get(traffic, "source", str, "traffic")
-    if tsource == "synthetic":
-        _get(traffic, "horizon", int, "traffic")
-        _get(traffic, "profile", dict, "traffic")
-    elif tsource == "csv":
-        _get(traffic, "path", str, "traffic")
-        _get(traffic, "n_locations", int, "traffic")
-    else:
-        raise ConfigError("key 'traffic.source' must be 'synthetic' or 'csv'")
-
-    part = _get(doc, "partition", dict, "config")
-    zones = _get(part, "zones", int, "partition")
-    slots_per_zone = _get(part, "slots_per_zone", int, "partition")
-    if zones < 1 or slots_per_zone < 1:
-        raise ConfigError("keys 'partition.zones' and 'partition.slots_per_zone' must be positive")
-
-    cost_doc = _get(doc, "cost", dict, "config")
-    try:
-        cost = CostParams(
-            alpha=_get(cost_doc, "alpha", float, "cost"),
-            rho0=_get(cost_doc, "rho0", float, "cost", default=1.0),
-            psi=_get(cost_doc, "psi", float, "cost", default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key 'cost': {exc}") from None
-
-    eta = doc.get("eta", "auto")
-    if isinstance(eta, bool) or not isinstance(eta, (int, float, str)):
-        raise ConfigError("key 'eta' must be a positive number or 'auto'")
-    if isinstance(eta, str):
-        if eta != "auto":
-            raise ConfigError("key 'eta' must be a positive number or 'auto'")
-    else:
-        eta = float(eta)
-        if eta <= 0:
-            raise ConfigError("key 'eta' must be a positive number or 'auto'")
-
-    solver_doc = _get(doc, "solver", dict, "config", default={})
-    try:
-        solver = SolverConfig(
-            max_iterations=_get(solver_doc, "max_iterations", int, "solver", default=10_000),
-            tolerance=_get(solver_doc, "tolerance", float, "solver", default=1e-6),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key 'solver': {exc}") from None
-
-    bench = _get(doc, "benchmarks", dict, "config", default={})
-    benchmark_static = _get(bench, "static", bool, "benchmarks", default=False)
-    benchmark_dynamic = _get(bench, "dynamic", bool, "benchmarks", default=False)
-
-    sweep_doc = _get(doc, "sweep", dict, "config", default={})
-    sweep_lists = {}
-    for key in ("zones", "rho0", "alpha", "eta"):
-        if key in sweep_doc:
-            values = sweep_doc[key]
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"key 'sweep.{key}' must be a nonempty list")
-            sweep_lists[key] = values
+    root = _section(doc, "")
+    topology = _section(root["topology"], "topology")
+    generate = topology["source"] == "generate"
+    traffic = _section(root["traffic"], "traffic")
+    synthetic = traffic["source"] == "synthetic"
+    partition = _section(root["partition"], "partition")
+    zones, slots_per_zone = partition["zones"], partition["slots_per_zone"]
+    benchmarks = _section(root.get("benchmarks", {}), "benchmarks")
+    sweep = _section(root.get("sweep", {}), "sweep")
+    period = zones * slots_per_zone
+    for k in sweep.get("zones", []):
+        if period % k:
+            raise ConfigError(f"key 'sweep.zones': {k} does not divide the period length {period}")
 
     return ExperimentConfig(
-        seed=seed,
-        topology_source=topo,
-        traffic_source=traffic,
+        seed=root.get("seed", 0),
+        topology_path=topology.get("path"),
+        radio=_build(RadioConfig, topology["radio"], "topology.radio") if generate else None,
+        locations=_build(grid_positions, topology["grid"], "topology.grid") if generate else None,
+        trace_csv=None if synthetic else {k: v for k, v in traffic.items() if k != "source"},
+        horizon=traffic["horizon"] if synthetic else None,
+        profile=_build(SyntheticProfile, traffic["profile"], "traffic.profile") if synthetic else None,
         zones=zones,
         slots_per_zone=slots_per_zone,
-        cost=cost,
-        eta=eta,
-        solver=solver,
-        benchmark_static=benchmark_static,
-        benchmark_dynamic=benchmark_dynamic,
-        sweep_lists=sweep_lists,
+        cost=_build(CostParams, root["cost"], "cost"),
+        eta=root.get("eta", "auto"),
+        solver=_build(SolverConfig, root.get("solver", {}), "solver"),
+        benchmark_static=benchmarks.get("static", False),
+        benchmark_dynamic=benchmarks.get("dynamic", False),
+        sweep_lists=sweep,
     )
 
 
@@ -192,71 +249,29 @@ def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfi
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if seed_override is not None:
-        doc = dict(doc)
-        doc["seed"] = seed_override
+    if seed_override is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed_override}
     return parse_config(doc), doc
 
 
-def _radio_from_section(section: dict) -> RadioConfig:
-    try:
-        return RadioConfig(
-            ap_positions=np.asarray(_get(section, "ap_positions", list, "topology.radio")),
-            ap_power_dbm=np.asarray(_get(section, "ap_power_dbm", list, "topology.radio")),
-            bandwidth_hz=_get(section, "bandwidth_hz", float, "topology.radio", default=10e6),
-            noise_dbm_per_hz=_get(section, "noise_dbm_per_hz", float, "topology.radio", default=-174.0),
-            path_loss_exponent=_get(section, "path_loss_exponent", float, "topology.radio", default=3.0),
-            rate_threshold_bps=_get(section, "rate_threshold_bps", float, "topology.radio", default=0.0),
-            omega=_get(section, "omega", float, "topology.radio", default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key 'topology.radio': {exc}") from None
-
-
 def build_experiment_topology(config: ExperimentConfig) -> Topology:
-    section = config.topology_source
-    if section["source"] == "file":
-        try:
-            return load_topology_json(section["path"])
-        except ValueError as exc:
-            raise ConfigError(f"key 'topology.path': {exc}") from None
-    radio = _radio_from_section(section["radio"])
-    grid = section["grid"]
-    positions = grid_positions(
-        _get(grid, "nx", int, "topology.grid"),
-        _get(grid, "ny", int, "topology.grid"),
-        _get(grid, "spacing", float, "topology.grid", default=1.0),
-    )
-    return build_topology(radio, positions)
+    try:
+        if config.topology_path is not None:
+            return load_topology_json(config.topology_path)
+        return build_topology(config.radio, config.locations)
+    except ValueError as exc:
+        key = "topology.radio" if config.topology_path is None else "topology.path"
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 def build_experiment_trace(config: ExperimentConfig, topology: Topology):
-    section = config.traffic_source
-    if section["source"] == "csv":
+    if config.trace_csv is not None:
         try:
-            trace = load_trace_csv(
-                section["path"],
-                n_locations=section["n_locations"],
-                horizon=section.get("horizon"),
-            )
+            trace = load_trace_csv(**config.trace_csv)
         except ValueError as exc:
             raise ConfigError(f"key 'traffic.path': {exc}") from None
     else:
-        profile_doc = section["profile"]
-        try:
-            profile = SyntheticProfile(
-                slots_per_day=_get(profile_doc, "slots_per_day", int, "traffic.profile"),
-                base_min=_get(profile_doc, "base_min", float, "traffic.profile", default=0.5),
-                base_max=_get(profile_doc, "base_max", float, "traffic.profile", default=1.5),
-                shape=_get(profile_doc, "shape", str, "traffic.profile", default="sinusoidal"),
-                amplitude=_get(profile_doc, "amplitude", float, "traffic.profile", default=0.6),
-                sigma=_get(profile_doc, "sigma", float, "traffic.profile", default=0.1),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"key 'traffic.profile': {exc}") from None
-        trace = generate_synthetic(
-            topology.n_locations, section["horizon"], config.seed, profile
-        )
+        trace = generate_synthetic(topology.n_locations, config.horizon, config.seed, config.profile)
     if trace.n_locations != topology.n_locations:
         raise ConfigError(
             "key 'traffic': trace has "
@@ -341,7 +356,6 @@ def run_experiment(
         config.cost,
         eta=eta,
         online_loads=run.log.loads,
-        online_violations=count_violations(run.log),
     )
 
     written = []
@@ -422,10 +436,6 @@ def _sweep_combos(config: ExperimentConfig) -> list[dict]:
     for zones, rho0, alpha, eta in itertools.product(
         zones_list, rho0_list, alpha_list, eta_list
     ):
-        if period % zones != 0:
-            raise ConfigError(
-                f"key 'sweep.zones': {zones} does not divide the period length {period}"
-            )
         combos.append(
             {"zones": zones, "slots_per_zone": period // zones, "rho0": rho0,
              "alpha": alpha, "eta": eta}
@@ -435,7 +445,7 @@ def _sweep_combos(config: ExperimentConfig) -> list[dict]:
 
 def _combo_config(config: ExperimentConfig, combo: dict) -> ExperimentConfig:
     try:
-        cost = CostParams(alpha=float(combo["alpha"]), rho0=float(combo["rho0"]), psi=config.cost.psi)
+        cost = replace(config.cost, alpha=float(combo["alpha"]), rho0=float(combo["rho0"]))
     except ValueError as exc:
         raise ConfigError(f"key 'sweep': {exc}") from None
     return replace(
@@ -573,11 +583,11 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             run_sweep(config, args.out, jobs=max(1, args.jobs))
         elif args.command == "gen-topology":
-            if config.topology_source["source"] != "generate":
+            if config.radio is None:
                 raise ConfigError("key 'topology.source' must be 'generate' for gen-topology")
             save_topology_json(build_experiment_topology(config), args.out)
         elif args.command == "gen-trace":
-            if config.traffic_source["source"] != "synthetic":
+            if config.profile is None:
                 raise ConfigError("key 'traffic.source' must be 'synthetic' for gen-trace")
             topology = build_experiment_topology(config)
             save_trace_csv(build_experiment_trace(config, topology), args.out)

@@ -96,7 +96,6 @@ class RunLog:
     costs: np.ndarray  # (T,) penalized objective of the played policy
     loads: np.ndarray  # (T, n_aps)
     zones: np.ndarray  # (T,) 1-based zone of each slot
-    violations: np.ndarray  # (T, n_aps) flags for load > rho0
     rho0: float
     support_loss_events: int = 0
 
@@ -107,6 +106,11 @@ class RunLog:
     @property
     def total_loads(self) -> np.ndarray:
         return self.loads.sum(axis=1)
+
+    @property
+    def violations(self) -> np.ndarray:
+        """(T, n_aps) flags for load > rho0."""
+        return self.loads > self.rho0
 
 
 @dataclass
@@ -181,7 +185,6 @@ def run_online(
         costs=penalized_values(loads, params).sum(axis=1),
         loads=loads,
         zones=np.tile(np.repeat(np.arange(1, n_zones + 1), width), periods),
-        violations=loads > params.rho0,
         rho0=params.rho0,
         support_loss_events=support_losses,
     )

@@ -182,16 +182,13 @@ def regret(
     params: CostParams,
     *,
     eta: float | None = None,
-    lipschitz: float | None = None,
     online_loads: np.ndarray | None = None,
-    online_violations: tuple[int, int] | None = None,
 ) -> RegretReport:
     """Compare an online cost series against the replayed benchmark.
 
-    `lipschitz` defaults to the analytic bound at the trace's peak demand;
-    pass the observed gradient sup-norm for a tighter (empirical) constant.
-    `online_loads` enables the raw-cost regret reading and, together with
-    `online_violations`, completes the violation section of the report.
+    The bound uses the analytic Lipschitz constant at the trace's peak
+    demand. `online_loads` enables the raw-cost regret reading and the
+    online violation counts.
     """
     online_costs = np.asarray(online_costs, dtype=float)
     if online_costs.shape != (trace.horizon,):
@@ -203,11 +200,7 @@ def regret(
     total_bench = float(bench_costs.sum())
     curve = prefix_regret_per_slot(online_costs, bench_costs)
 
-    used_l = (
-        lipschitz
-        if lipschitz is not None
-        else lipschitz_bound(topology, trace.max_intensity, params)
-    )
+    used_l = lipschitz_bound(topology, trace.max_intensity, params)
     m_loc, m_ap = max_degrees(topology)
     probe_eta = eta if eta is not None else 1.0
     bound = theoretical_bound(
@@ -220,7 +213,8 @@ def regret(
         topology.n_locations,
     )
 
-    if online_violations is None and online_loads is not None:
+    online_violations = None
+    if online_loads is not None:
         online_violations = violation_counts(online_loads, params.rho0)
 
     raw_regret = None

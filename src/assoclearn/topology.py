@@ -10,7 +10,6 @@ positive entries of that matrix.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -19,30 +18,32 @@ import numpy as np
 
 
 def shannon_rate(
-    signal_gain: float,
-    own_power: float,
+    signal_gain,
+    own_power,
     interferer_gains_powers,
     bandwidth: float,
     noise_density: float,
-) -> float:
+):
     """Link rate in bits/s for a signal facing noise plus co-channel interference.
 
     rate = W * log2(1 + G*P / (W*N0 + sum_k Gk*Pk)) with the sum over
-    interfering transmitters. Deterministic; all inputs linear units.
+    interfering transmitters, accumulated in their order. Gains and powers
+    may be arrays that broadcast together, for one rate per element.
+    Deterministic; all inputs linear units.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     if noise_density < 0:
         raise ValueError("noise_density must be non-negative")
-    if signal_gain < 0 or own_power < 0:
+    if np.any(signal_gain < 0) or np.any(own_power < 0):
         raise ValueError("gains and powers must be non-negative")
     interference = 0.0
     for gain, power in interferer_gains_powers:
-        if gain < 0 or power < 0:
+        if np.any(gain < 0) or np.any(power < 0):
             raise ValueError("gains and powers must be non-negative")
         interference += gain * power
     sinr = signal_gain * own_power / (bandwidth * noise_density + interference)
-    return bandwidth * math.log2(1.0 + sinr)
+    return bandwidth * np.log2(1.0 + sinr)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -78,6 +79,8 @@ class RadioConfig:
         object.__setattr__(self, "ap_power_dbm", pwr)
         if pos.shape[0] == 0:
             raise ValueError("at least one AP is required")
+        if pos.ndim != 2 or pos.shape[1] != 2 or pwr.ndim != 1:
+            raise ValueError("ap_positions must hold (x, y) pairs and ap_power_dbm numbers")
         if pos.shape[0] != pwr.shape[0]:
             raise ValueError("ap_positions and ap_power_dbm disagree on AP count")
         if self.bandwidth_hz <= 0 or self.omega <= 0 or self.min_distance <= 0:
@@ -175,33 +178,24 @@ def build_topology(config: RadioConfig, location_positions: np.ndarray) -> Topol
     if positions.shape[0] == 0:
         raise ValueError("at least one location is required")
     n_aps = config.n_aps
-    n_loc = positions.shape[0]
 
     d = np.linalg.norm(
         config.ap_positions[:, None, :] - positions[None, :, :], axis=2
     )
     gains = np.maximum(d, config.min_distance) ** (-config.path_loss_exponent)
     powers = config.ap_power_watts
-
-    rates = np.zeros((n_aps, n_loc))
-    for j in range(n_aps):
-        for i in range(n_loc):
-            interferers = [
-                (gains[k, i], powers[k]) for k in range(n_aps) if k != j
-            ]
-            rates[j, i] = shannon_rate(
-                gains[j, i],
-                powers[j],
-                interferers,
-                config.bandwidth_hz,
-                config.noise_density_w_per_hz,
-            )
+    # AP k interferes on the links of every AP j != k; a zero gain stands in
+    # for k = j, so each link sums its interferers in AP order
+    others = ~np.eye(n_aps, dtype=bool)[:, :, None]
+    interferers = ((np.where(others[:, k], gains[k], 0.0), powers[k]) for k in range(n_aps))
+    rates = shannon_rate(
+        gains, powers[:, None], interferers, config.bandwidth_hz, config.noise_density_w_per_hz
+    )
 
     keep = rates >= config.rate_threshold_bps
     # Relax the threshold per location rather than orphan it.
-    for i in range(n_loc):
-        if not keep[:, i].any():
-            keep[np.argmax(rates[:, i]), i] = True
+    orphans = np.flatnonzero(~keep.any(axis=0))
+    keep[rates[:, orphans].argmax(axis=0), orphans] = True
     service = np.where(keep & (rates > 0), config.omega * rates, 0.0)
     return Topology(service_rate=service)
 

@@ -96,6 +96,9 @@ def window_of(partition: TimePartition, t: int) -> tuple[int, int, bool]:
     return zone, rank, rank == 1
 
 
+SHAPES = ("sinusoidal", "flat")  # time-of-day shapes of the synthetic generator
+
+
 @dataclass(frozen=True)
 class SyntheticProfile:
     """Shape parameters of the periodic synthetic generator.
@@ -108,7 +111,7 @@ class SyntheticProfile:
     slots_per_day: int
     base_min: float = 0.5
     base_max: float = 1.5
-    shape: str = "sinusoidal"  # or "flat"
+    shape: str = "sinusoidal"  # one of SHAPES
     amplitude: float = 0.6
     sigma: float = 0.1
 
@@ -117,7 +120,7 @@ class SyntheticProfile:
             raise ValueError("slots_per_day must be a positive count")
         if not 0 < self.base_min <= self.base_max:
             raise ValueError("base intensities must satisfy 0 < base_min <= base_max")
-        if self.shape not in ("sinusoidal", "flat"):
+        if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
         if not 0 <= self.amplitude <= 1:
             raise ValueError("amplitude must lie in [0, 1]")

@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from assoclearn import Topology, save_topology_json
-from assoclearn.cli import main
+from assoclearn.cli import SCHEMA, main, parse_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -165,6 +166,54 @@ class TestValidateAndErrors:
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error: key 'traffic'" in err and "window 1" in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("topology.grid.nx", "five"),
+            ("topology.radio.bandwidth_hz", "wide"),
+            ("traffic.profile.shape", "square"),
+            ("cost.rho_0", 0.5),
+            ("sweep.eta", ["x"]),
+            ("sweep.zones", ["a"]),
+            ("sweep.zones", [0]),
+            ("sweep.zones", [7]),  # the period is 12 slots
+        ],
+    )
+    def test_validate_names_bad_key_once(self, tmp_path, capsys, path, value):
+        doc = json.loads(Path(minimal_config(tmp_path)).read_text())
+        *sections, key = path.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+        config = write_json(tmp_path / "bad.json", doc)
+        assert main(["validate", "--config", config]) == 2
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith(f"config error: key '{path}'") and err.count("key '") == 1, err
+
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = parse_config(json.loads(example))
+        assert config.sweep_lists == {"zones": [24, 12, 2], "rho0": [0.5, 1.0], "alpha": [0.0], "eta": [0.1]}
+        # every key of the schema is listed in the README
+        for name, table in SCHEMA.items():
+            prefix = name.split(":")[0] + "." if name else ""
+            for key in table:
+                assert f"`{prefix}{key}`" in section, prefix + key
+
+    def test_unbuildable_topology_is_config_error(self, tmp_path, capsys):
+        # an infinite transmit power passes the radio checks, but not the
+        # finite-rate check of the topology it builds
+        doc = json.loads(Path(minimal_config(tmp_path)).read_text())
+        doc["topology"]["radio"]["ap_power_dbm"] = [4000.0, 33.0]
+        config = write_json(tmp_path / "loud.json", doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: key 'topology.radio'" in capsys.readouterr().err
 
     def test_missing_section_names_key(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"seed": 1})

@@ -86,7 +86,6 @@ class TestViolations:
             costs=np.zeros(2),
             loads=np.array([[0.6, 0.4], [0.7, 0.8]]),
             zones=np.array([1, 1]),
-            violations=np.array([[True, False], [True, True]]),
             rho0=0.5,
         )
         assert count_violations(log) == (3, 2)
@@ -159,7 +158,6 @@ class TestRegret:
             params,
             eta=0.2,
             online_loads=run.log.loads,
-            online_violations=count_violations(run.log),
         )
         assert report.regret == pytest.approx(
             report.total_online_cost - report.total_benchmark_cost

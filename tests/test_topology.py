@@ -102,6 +102,35 @@ class TestBuildTopology:
             topo.service_rate, np.where(keep, config.omega * expected, 0.0), rtol=1e-12
         )
 
+    def test_matches_per_link_loop(self):
+        # from the same gains, one scalar shannon_rate call per link with the
+        # interferers in AP order, then the per-location threshold relaxation:
+        # the arithmetic is the same, so the rates agree bit for bit
+        config = RadioConfig(
+            ap_positions=np.array([[0.0, 0.0], [60.0, 0.0], [30.0, 50.0], [90.0, 90.0]]),
+            ap_power_dbm=np.array([43.0, 33.0, 30.0, 33.0]),
+            rate_threshold_bps=2e7,
+        )
+        positions = grid_positions(8, 8, 13.0)
+        powers = config.ap_power_watts
+        d = np.linalg.norm(config.ap_positions[:, None, :] - positions[None, :, :], axis=2)
+        gains = np.maximum(d, 1.0) ** -3.0
+        rates = np.zeros((4, 64))
+        for j in range(4):
+            for i in range(64):
+                interferers = [(gains[k, i], powers[k]) for k in range(4) if k != j]
+                rates[j, i] = shannon_rate(
+                    gains[j, i], powers[j], interferers,
+                    config.bandwidth_hz, config.noise_density_w_per_hz,
+                )
+        keep = rates >= config.rate_threshold_bps
+        orphans = [i for i in range(64) if not keep[:, i].any()]
+        assert 0 < len(orphans) < 64
+        for i in orphans:
+            keep[np.argmax(rates[:, i]), i] = True
+        expected = np.where(keep, config.omega * rates, 0.0)
+        np.testing.assert_array_equal(build_topology(config, positions).service_rate, expected)
+
     def test_orphan_location_keeps_strongest_link(self):
         config = RadioConfig(
             ap_positions=np.array([[0.0, 0.0], [10.0, 0.0]]),
@@ -110,6 +139,12 @@ class TestBuildTopology:
         )
         topo = build_topology(config, np.array([[2.0, 0.0], [9.0, 0.0]]))
         assert all(len(n) == 1 for n in topo.neighbors_of_location)
+
+    def test_positions_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            RadioConfig(ap_positions=np.zeros((2, 3)), ap_power_dbm=np.array([40.0, 40.0]))
+        with pytest.raises(ValueError, match="pairs"):
+            RadioConfig(ap_positions=np.zeros((1, 2)), ap_power_dbm=np.array([[40.0]]))
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
