@@ -1,12 +1,15 @@
 """Hindsight benchmarks: one optimal static policy per time window.
 
-Each window's policy minimizes the window-aggregated penalized objective
-over the product of per-location simplices. The solver reuses the
-multiplicative-update kernel as a deterministic full-gradient method with
-a fixed step, declaring convergence when one further update would move
-the policy by less than the tolerance in entrywise 1-norm. A single
-window covering the horizon gives the classic static benchmark; singleton
-windows give the per-slot dynamic one.
+Each window's policy minimizes the window-aggregated penalized objective f
+over the product of per-location simplices, by entropic mirror steps
+(`egd_step`) from the uniform split. Each window has its own step s: a
+step is accepted if f(pi+) <= f(pi) + <grad, pi+ - pi> + KL(pi+ || pi) / s,
+and then s grows by STEP_GROWTH; a rejected step is retried with s halved.
+Before each step the window's Frank-Wolfe gap
+<grad, pi> - sum_i min_{j in N(i)} grad_ji, an upper bound on f(pi) - f*,
+is computed; the window stops once it is at most tolerance * max(1, |f|).
+A single window covering the horizon gives the classic static benchmark;
+singleton windows give the per-slot dynamic one.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ from .learner import egd_step, init_uniform
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace, build_partition
 
+STEP_GROWTH = 1.25  # step factor after an accepted mirror step
+ROUNDING = 1e-12  # relative slack of the step test for rounding in f
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap and fixed-point tolerance."""
+    """Cap on accepted steps per window and relative Frank-Wolfe gap target."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-6
@@ -38,7 +44,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class WindowDiagnostics:
     iterations: int
-    final_residual: float
+    gap: float
     converged: bool
 
 
@@ -86,6 +92,11 @@ def window_objective(
     return float(penalized_values((pi * topology.inverse_rate) @ demands.T, params).sum())
 
 
+def _objectives(loads: np.ndarray, params: CostParams) -> np.ndarray:
+    """Per-window objective of a (n, n_aps, window_length) load stack."""
+    return penalized_values(loads, params).sum(axis=(1, 2))
+
+
 def solve_windows(
     topology: Topology,
     demands: np.ndarray,
@@ -96,12 +107,11 @@ def solve_windows(
 
     demands is (n_windows, n_locations, window_length), window k's slots in
     calendar order along the last axis. All windows advance in lock-step as
-    one policy stack, each with its own step 1/(window_length * L_k), and a
-    window leaves the stack once a step moves it by at most the tolerance.
-    Windows without demand are optimal at the uniform split and take no
-    step. Non-convergence within the iteration cap is not an error: the last
-    iterate is returned with converged=False in the diagnostics. A step
-    bound window_length * L_k that overflows a float raises ValueError.
+    one policy stack, by the method of the module docstring, with first
+    steps 1/(window_length * L_k). Windows without demand are optimal at the
+    uniform split and take no step. Non-convergence within the iteration cap
+    is not an error: the last iterate is returned with its gap and
+    converged=False. A first step bound that overflows raises ValueError.
     """
     solver = solver or SolverConfig()
     n_windows, _, window_length = demands.shape
@@ -119,33 +129,51 @@ def solve_windows(
         )
     with np.errstate(divide="ignore"):
         steps = 1.0 / bounds  # inf for a window without demand
-    iterations, residuals = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
+    iterations, gaps = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
+    converged = np.ones(n_windows, dtype=bool)
     active = np.flatnonzero(np.isfinite(steps))
-    current, step = pi[active], steps[active, None, None]
+    current, step = pi[active], steps[active]
     # Demands stay the caller's single copy until some window finishes: the
     # loads product reads it as stored, the gradient through its transpose.
     active_demands = demands if active.size == n_windows else demands[active]
-    for iteration in range(1, solver.max_iterations + 1):
-        if not active.size:
-            break
-        loads = (current * topology.inverse_rate) @ active_demands  # (n, n_aps, window_length)
+    loads = (current * topology.inverse_rate) @ active_demands  # (n, n_aps, window_length)
+    values = _objectives(loads, params)
+    while active.size:
         grad = (load_slope(loads, params) @ active_demands.swapaxes(1, 2)) * topology.inverse_rate
-        updated = egd_step(current, grad, step)
-        residual = np.abs(updated - current).reshape(active.size, -1).sum(axis=1)
-        current, iterations[active], residuals[active] = updated, iteration, residual
-        running = ~(residual <= solver.tolerance)
+        best = np.where(topology.support, grad, np.inf).min(axis=1).sum(axis=1)
+        gaps[active] = (grad * current).sum(axis=(1, 2)) - best
+        converged[active] = gaps[active] <= solver.tolerance * np.maximum(1.0, np.abs(values))
+        running = ~converged[active] & (iterations[active] < solver.max_iterations)
         if not running.all():
             pi[active] = current
-            active, current, step = active[running], current[running], step[running]
+            active, current, grad, loads, values, step = (
+                a[running] for a in (active, current, grad, loads, values, step)
+            )
             active_demands = active_demands[running]
-    pi[active] = current
+        trial = np.arange(active.size)  # windows yet to take this iteration's step
+        while trial.size:
+            x, g, s, f = current[trial], grad[trial], step[trial], values[trial]
+            candidate = egd_step(x, g, s[:, None, None])
+            new_loads = (candidate * topology.inverse_rate) @ (
+                active_demands if trial.size == active.size else active_demands[trial]
+            )
+            new_values = _objectives(new_loads, params)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kl = np.where(candidate > 0, candidate * np.log(candidate / x), 0.0)
+            model = (g * (candidate - x)).sum(axis=(1, 2)) + kl.sum(axis=(1, 2)) / s
+            ok = new_values - f <= model + ROUNDING * np.maximum(1.0, np.abs(f))
+            done = trial[ok]
+            current[done], loads[done], values[done] = candidate[ok], new_loads[ok], new_values[ok]
+            step[done] *= STEP_GROWTH
+            trial = trial[~ok]
+            step[trial] /= 2  # a rejected window retries with half the step
+        iterations[active] += 1
 
-    values = penalized_values((pi * topology.inverse_rate) @ demands, params)
+    values = _objectives((pi * topology.inverse_rate) @ demands, params)
     diagnostics = [
-        WindowDiagnostics(n, r, r <= solver.tolerance)
-        for n, r in zip(iterations.tolist(), residuals.tolist())
+        WindowDiagnostics(*d) for d in zip(iterations.tolist(), gaps.tolist(), converged.tolist())
     ]
-    return BenchmarkSolution(list(pi), values.reshape(n_windows, -1).sum(axis=1).tolist(), diagnostics)
+    return BenchmarkSolution(list(pi), values.tolist(), diagnostics)
 
 
 def solve_window(

@@ -8,9 +8,8 @@ regret recomputed with the raw fairness cost.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,14 +104,16 @@ def replay_benchmark(
         raise ValueError("benchmark zone count does not match the partition")
     if partition.horizon != trace.horizon:
         raise ValueError("partition horizon does not match the trace")
-    costs = np.empty(trace.horizon)
-    loads = np.empty((trace.horizon, topology.n_aps))
-    for k, window in enumerate(partition.windows()):
-        pi = benchmark.zone_policies[k]
-        demands = trace.demand[window - 1]
-        window_loads = (pi * topology.inverse_rate) @ demands.T  # (n_aps, |window|)
-        costs[window - 1] = penalized_values(window_loads, params).sum(axis=0)
-        loads[window - 1] = window_loads.T
+    periods, zones, width = partition.periods, partition.zones, partition.slots_per_zone
+    # (period, zone, slot, location) -> (zone, location, period * slot), as in
+    # `solve_periodic_static`; loads come back as (zone, AP, period, slot)
+    demands = trace.demand.reshape(periods, zones, width, -1).transpose(1, 3, 0, 2)
+    policies = np.asarray(benchmark.zone_policies) * topology.inverse_rate
+    window_loads = (policies @ demands.reshape(zones, trace.n_locations, -1)).reshape(
+        zones, topology.n_aps, periods, width
+    )
+    costs = penalized_values(window_loads, params).sum(axis=1).transpose(1, 0, 2).reshape(-1)
+    loads = window_loads.transpose(2, 0, 3, 1).reshape(trace.horizon, topology.n_aps)
     return costs, loads
 
 
@@ -142,6 +143,7 @@ class RegretReport:
     total_online_cost: float
     total_benchmark_cost: float
     regret: float
+    regret_upper: float  # regret + the benchmark's gaps: bound against the exact optimum
     prefix_regret: np.ndarray  # Reg(t)/t, length horizon
     lipschitz_used: float
     eta_used: float | None
@@ -154,23 +156,7 @@ class RegretReport:
     raw_cost_regret: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "total_online_cost": self.total_online_cost,
-            "total_benchmark_cost": self.total_benchmark_cost,
-            "regret": self.regret,
-            "prefix_regret": [float(x) for x in self.prefix_regret],
-            "lipschitz_used": self.lipschitz_used,
-            "eta_used": self.eta_used,
-            "eta_star": self.eta_star,
-            "bound_at_eta": self.bound_at_eta,
-            "bound_universal": self.bound_universal,
-            "bound_note": self.bound_note,
-            "violations_online": list(self.violations_online)
-            if self.violations_online is not None
-            else None,
-            "violations_benchmark": list(self.violations_benchmark),
-            "raw_cost_regret": self.raw_cost_regret,
-        }
+        return {**asdict(self), "prefix_regret": self.prefix_regret.tolist()}
 
 
 def regret(
@@ -187,8 +173,10 @@ def regret(
     """Compare an online cost series against the replayed benchmark.
 
     The bound uses the analytic Lipschitz constant at the trace's peak
-    demand. `online_loads` enables the raw-cost regret reading and the
-    online violation counts.
+    demand. regret_upper adds the benchmark's Frank-Wolfe gaps, each an
+    upper bound on its window's distance from the optimum, so it bounds the
+    regret against the exact periodic optimum. `online_loads` enables the
+    raw-cost regret reading and the online violation counts.
     """
     online_costs = np.asarray(online_costs, dtype=float)
     if online_costs.shape != (trace.horizon,):
@@ -213,25 +201,19 @@ def regret(
         topology.n_locations,
     )
 
-    online_violations = None
+    online_violations = raw_regret = None
     if online_loads is not None:
+        online_loads = np.asarray(online_loads)
         online_violations = violation_counts(online_loads, params.rho0)
+        if np.all(online_loads < 1) and np.all(bench_loads < 1):
+            raw_regret = float(alpha_cost(online_loads, params) - alpha_cost(bench_loads, params))
 
-    raw_regret = None
-    if (
-        online_loads is not None
-        and np.all(np.asarray(online_loads) < 1)
-        and np.all(bench_loads < 1)
-    ):
-        raw_regret = float(
-            alpha_cost(np.asarray(online_loads), params)
-            - alpha_cost(bench_loads, params)
-        )
-
+    regret_value = total_online - total_bench
     return RegretReport(
         total_online_cost=total_online,
         total_benchmark_cost=total_bench,
-        regret=total_online - total_bench,
+        regret=regret_value,
+        regret_upper=regret_value + sum(d.gap for d in benchmark.diagnostics),
         prefix_regret=curve,
         lipschitz_used=float(used_l),
         eta_used=eta,
@@ -246,19 +228,14 @@ def regret(
 
 
 def runlog_to_csv(log: RunLog, path) -> None:
-    """Per-slot series `t,zone,V,total_load,violations` for external plotting."""
-    totals = log.total_loads
-    counts = log.violations.sum(axis=1)
+    """Per-slot series `t,zone,V,total_load,violations` for external plotting.
+
+    Rows are CSV with CRLF line ends and floats written by repr.
+    """
+    columns = (log.zones, log.costs, log.total_loads, log.violations.sum(axis=1))
+    rows = (
+        f"{t},{zone},{cost!r},{total!r},{count}\r\n"
+        for t, (zone, cost, total, count) in enumerate(zip(*(c.tolist() for c in columns)), 1)
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "zone", "V", "total_load", "violations"])
-        for t in range(log.horizon):
-            writer.writerow(
-                [
-                    t + 1,
-                    int(log.zones[t]),
-                    repr(float(log.costs[t])),
-                    repr(float(totals[t])),
-                    int(counts[t]),
-                ]
-            )
+        fh.write("t,zone,V,total_load,violations\r\n" + "".join(rows))

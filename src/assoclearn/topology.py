@@ -218,8 +218,14 @@ def topology_to_dict(topology: Topology) -> dict:
 
 
 def topology_from_dict(doc: dict) -> Topology:
-    rate = np.asarray(doc["service_rate"], dtype=float)
-    if rate.shape != (doc["n_aps"], doc["n_locations"]):
+    try:
+        rate = np.asarray(doc["service_rate"], dtype=float)
+        counts = (doc["n_aps"], doc["n_locations"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"topology must be an object with n_aps, n_locations and service_rate ({exc!r})"
+        ) from None
+    if rate.shape != counts:
         raise ValueError("service_rate shape disagrees with declared counts")
     return Topology(service_rate=rate)
 

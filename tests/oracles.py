@@ -57,3 +57,32 @@ def grid_min_window_objective(service_rate, demands, alpha, rho0, psi, step=1e-3
         objective += reference_penalized_values(load0, alpha, rho0, psi)
         objective += reference_penalized_values(load1, alpha, rho0, psi)
     return float(objective.min())
+
+
+def reference_frank_wolfe_gap(pi, service_rate, demands, alpha, rho0, psi):
+    """Frank-Wolfe gap of a window policy, from scalar loops.
+
+    gap = sum_ji grad_ji * pi_ji - sum_i min_{j serving i} grad_ji, where
+    grad_ji sums slope_j(t) * demand_ti / service_rate_ji over the window's
+    slots and slope is the derivative of the penalized per-AP cost. For a
+    convex objective the gap bounds the policy's distance from the optimum.
+    """
+    n_aps, n_locations = service_rate.shape
+    demands = np.atleast_2d(demands)
+    grad = np.zeros((n_aps, n_locations))
+    for lam in demands:
+        for j in range(n_aps):
+            load = sum(
+                lam[i] * pi[j, i] / service_rate[j, i]
+                for i in range(n_locations)
+                if service_rate[j, i] > 0
+            )
+            slope = (1.0 - load) ** (-alpha) if load <= rho0 else psi * (1.0 - rho0) ** (-alpha)
+            for i in range(n_locations):
+                if service_rate[j, i] > 0:
+                    grad[j, i] += slope * lam[i] / service_rate[j, i]
+    gap = 0.0
+    for i in range(n_locations):
+        serving = [j for j in range(n_aps) if service_rate[j, i] > 0]
+        gap += sum(grad[j, i] * pi[j, i] for j in serving) - min(grad[j, i] for j in serving)
+    return gap

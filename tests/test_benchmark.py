@@ -6,9 +6,11 @@ from assoclearn import (
     CostParams,
     LearnerConfig,
     SolverConfig,
+    SyntheticProfile,
     Topology,
     TrafficTrace,
     build_partition,
+    generate_synthetic,
     init_uniform,
     run_online,
     solve_dynamic,
@@ -20,7 +22,8 @@ from assoclearn import (
 )
 from assoclearn.metrics import replay_benchmark
 from conftest import make_random_topology
-from oracles import grid_min_window_objective
+from oracles import grid_min_window_objective, reference_frank_wolfe_gap
+from test_acceptance import acceptance_topology
 
 
 def toy_trace(values):
@@ -203,6 +206,51 @@ class TestPeriodicStatic:
             assert diag.converged == diagnostics[k].converged
             assert objective == pytest.approx(solution.zone_objectives[k], rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(pi, solution.zone_policies[k], rtol=0, atol=1e-12)
+
+
+class TestGapCertificate:
+    def test_gap_bounds_grid_oracle_and_matches_reference(self, rng):
+        # the instances of acceptance criterion 4, drawn in the same order
+        for instance in range(20):
+            n_loc = int(rng.integers(1, 3))
+            service = rng.uniform(0.8, 4.0, (2, n_loc))
+            topo = Topology(service_rate=service)
+            slots = int(rng.integers(1, 3))
+            trace = toy_trace(rng.uniform(0.1, 0.9, (slots, n_loc)))
+            alpha = float(rng.choice([0.0, 1.0, 2.0]))
+            rho0 = 0.7 if alpha > 0 else 1.0
+            params = CostParams(alpha=alpha, rho0=rho0, psi=1.0)
+            pi, objective, diag = solve_window(topo, trace, np.arange(1, slots + 1), params)
+            oracle = grid_min_window_objective(service, trace.demand, alpha=alpha, rho0=rho0, psi=1.0)
+            assert diag.gap >= objective - oracle - 1e-9, f"instance {instance}"
+            reference = reference_frank_wolfe_gap(pi, service, trace.demand, alpha, rho0, 1.0)
+            assert diag.gap == pytest.approx(reference, rel=1e-9, abs=1e-12), f"instance {instance}"
+
+    def test_overloaded_window_converges_within_default_cap(self):
+        # window 12 of the six-AP network's README-profile day at alpha = 2:
+        # about a quarter of its AP-slots sit above rho0, where the cost is
+        # linear; a fixed-step solver stops there at the cap
+        topo = acceptance_topology()
+        trace = generate_synthetic(25, 5760, seed=2024, profile=SyntheticProfile(slots_per_day=240))
+        window = build_partition(5760, 24, 10).window(12)
+        params = CostParams(alpha=2.0, rho0=0.8)
+        pi, objective, diag = solve_window(topo, trace, window, params)
+        overloaded = ((pi * topo.inverse_rate) @ trace.demand[window - 1].T > params.rho0).mean()
+        assert 0.2 <= overloaded <= 0.35
+        assert diag.converged and diag.iterations < SolverConfig().max_iterations
+        assert diag.gap <= SolverConfig().tolerance * abs(objective)
+
+    @pytest.mark.parametrize("alpha, rho0", [(0.0, 1.0), (1.0, 0.6), (2.0, 0.5)])
+    def test_converged_windows_meet_gap_target(self, rng, alpha, rho0):
+        topo = make_random_topology(rng, 5, 3)
+        trace = toy_trace(rng.uniform(0.1, 1.2, (24, 5)))
+        solver = SolverConfig(tolerance=1e-7)
+        solution = solve_periodic_static(
+            topo, trace, build_partition(24, 4, 3), CostParams(alpha=alpha, rho0=rho0), solver
+        )
+        assert solution.all_converged
+        for diag, objective in zip(solution.diagnostics, solution.zone_objectives):
+            assert 0 <= diag.gap <= solver.tolerance * max(1.0, abs(objective))
 
 
 class TestBenchmarkJson:

@@ -76,6 +76,16 @@ class TestRun:
             "runlog.csv",
         }
 
+    def test_regret_upper_adds_window_gaps(self, tmp_path):
+        config = minimal_config(tmp_path, partition={"zones": 2, "slots_per_zone": 3})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "regret.json").read_text())
+        gaps = [d["gap"] for d in json.loads((out / "benchmark.json").read_text())["diagnostics"]]
+        assert len(gaps) == 2 and sum(gaps) > 0
+        excess = report["regret_upper"] - report["regret"]
+        assert excess == pytest.approx(sum(gaps), rel=0, abs=np.spacing(abs(report["regret_upper"])))
+
     def test_manifest_hashes_match_written_files(self, tmp_path):
         import hashlib
 
@@ -233,6 +243,15 @@ class TestValidateAndErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
+
+
+    @pytest.mark.parametrize("content", [{"n_aps": 1}, [[1.0], [1.0]]], ids=["missing-keys", "list"])
+    def test_malformed_topology_file_is_config_error(self, tmp_path, capsys, content):
+        doc = json.loads(Path(fast_slow_setup(tmp_path)).read_text())
+        write_json(Path(doc["topology"]["path"]), content)
+        config = write_json(tmp_path / "bad_topology.json", doc)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: key 'topology.path'" in capsys.readouterr().err
 
 
 class TestGenerators:

@@ -23,6 +23,7 @@ from assoclearn import (
 )
 from assoclearn.metrics import prefix_regret_per_slot, violation_counts
 from conftest import make_random_topology
+from oracles import reference_penalized_values
 
 
 def toy_trace(values):
@@ -214,3 +215,38 @@ class TestRunlogCsv:
             assert float(row[2]) == pytest.approx(run.log.costs[t - 1])
             assert float(row[3]) == pytest.approx(run.log.total_loads[t - 1])
             assert int(row[4]) == run.log.violations[t - 1].sum()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # reference: one csv.writer row per slot, floats written by repr
+        costs = np.array([np.inf, -0.0, 1e-310, 0.1 + 0.2, -3.5e12, 7.0])
+        loads = np.array([[0.2, 0.9], [0.0, 0.0], [1.5, 0.1], [0.3, 0.3], [2.0, 2.0], [0.5, 0.51]])
+        log = RunLog(costs=costs, loads=loads, zones=np.array([1, 2, 3, 1, 2, 3]), rho0=0.5)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "zone", "V", "total_load", "violations"])
+            for t in range(log.horizon):
+                writer.writerow([
+                    t + 1, int(log.zones[t]), repr(float(costs[t])),
+                    repr(float(log.total_loads[t])), int(log.violations[t].sum()),
+                ])
+        runlog_to_csv(log, tmp_path / "runlog.csv")
+        assert (tmp_path / "runlog.csv").read_bytes() == reference.read_bytes()
+
+
+class TestReplayBenchmark:
+    def test_matches_per_window_loop(self, rng):
+        topo = make_random_topology(rng, 5, 3)
+        partition = build_partition(36, 4, 3)
+        trace = toy_trace(rng.uniform(0.1, 1.5, (36, 5)))
+        params = CostParams(alpha=2, rho0=0.7)
+        solution = solve_periodic_static(topo, trace, partition, params)
+        costs, loads = replay_benchmark(solution, trace, partition, topo, params)
+        # reference: each window's policy applied to its own slots
+        expected_costs, expected_loads = np.empty(36), np.empty((36, 3))
+        for k, window in enumerate(partition.windows()):
+            window_loads = (solution.zone_policies[k] * topo.inverse_rate) @ trace.demand[window - 1].T
+            expected_costs[window - 1] = reference_penalized_values(window_loads, 2, 0.7, 1.0).sum(axis=0)
+            expected_loads[window - 1] = window_loads.T
+        np.testing.assert_allclose(loads, expected_loads, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(costs, expected_costs, rtol=1e-12, atol=0)
