@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostParams, grad_from_loads, penalized_values
+from .cost import CostParams, load_slope, penalized_values
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace
 
@@ -141,8 +141,12 @@ def run_online(
     With the demand reshaped to (period, zone, slot, location), rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
     therefore runs over the periods * slots_per_zone ranks and advances
-    blocks of at most STACK_ENTRIES / (n_aps * n_locations) threads (at
-    least one) as one policy stack.
+    blocks of at most STACK_ENTRIES / (M * n_locations) threads (at least
+    one) as one policy stack in the compact layout of
+    `Topology.neighbor_table`, M rows deep. Loads come from the policies
+    scattered back to a dense stack, so every output matches a slot-by-slot
+    dense replay bit for bit. Steps never revive a zero entry, so a block's
+    support losses are its link count minus its final nonzero count.
     """
     if partition.horizon != trace.horizon:
         raise ValueError(
@@ -153,31 +157,41 @@ def run_online(
 
     periods, n_zones, width = partition.periods, partition.zones, partition.slots_per_zone
     n_aps, n_locations = topology.n_aps, topology.n_locations
+    table = topology.neighbor_table
+    inverse_rate = np.take_along_axis(topology.inverse_rate, table, axis=0)
+    # flat position of each compact entry in one thread's dense (n_aps, n_locations) policy
+    offsets = table * n_locations + np.arange(n_locations)
     demand = trace.demand.reshape(periods, n_zones, width, n_locations)
     loads = np.empty((periods, n_zones, width, n_aps))
     kept = np.empty((periods, n_zones, width, n_aps, n_locations)) if config.keep_policies else None
-    zone_pi = np.empty((n_zones, n_aps, n_locations))
-    uniform = init_uniform(topology)
-    block = max(1, STACK_ENTRIES // (n_aps * n_locations))
+    zone_pi = np.zeros((n_zones, n_aps, n_locations))
+    uniform = np.take_along_axis(init_uniform(topology), table, axis=0)
+    block = max(1, STACK_ENTRIES // table.size)
     support_losses = 0
 
     for start in range(0, n_zones, block):
         threads = slice(start, min(start + block, n_zones))
-        pi = np.repeat(uniform[None], threads.stop - start, axis=0)
+        count = threads.stop - start
+        index = np.arange(count)[:, None, None] * (n_aps * n_locations) + offsets
+        dense = np.zeros((count, n_aps, n_locations))
+        pi = np.repeat(uniform[None], count, axis=0)
         for rank in range(periods * width):
             p, s = divmod(rank, width)
             if rank:
-                previous = pi
-                pi = egd_step(previous, grad, config.eta)
-                support_losses += int(np.count_nonzero((previous > 0) & (pi == 0)))
+                pi = egd_step(pi, grad, config.eta)
 
             lam = demand[p, threads, s]
-            slot_loads = ((pi * topology.inverse_rate) @ lam[:, :, None])[:, :, 0]
+            dense.reshape(-1)[index] = pi * inverse_rate
+            slot_loads = (dense @ lam[:, :, None])[:, :, 0]
             loads[p, threads, s] = slot_loads
             if kept is not None:
-                kept[p, threads, s] = pi
-            grad = grad_from_loads(slot_loads, lam, topology, params)
-        zone_pi[threads] = pi
+                played = np.zeros_like(dense)
+                played.reshape(-1)[index] = pi
+                kept[p, threads, s] = played
+            slope = np.take(load_slope(slot_loads, params), table, axis=1)
+            grad = (slope * inverse_rate) * lam[:, None, :]
+        zone_pi[threads].reshape(-1)[index] = pi
+        support_losses += count * topology.support.sum() - np.count_nonzero(pi)
 
     horizon = trace.horizon
     loads = loads.reshape(horizon, n_aps)
@@ -186,7 +200,7 @@ def run_online(
         loads=loads,
         zones=np.tile(np.repeat(np.arange(1, n_zones + 1), width), periods),
         rho0=params.rho0,
-        support_loss_events=support_losses,
+        support_loss_events=int(support_losses),
     )
     policies = None if kept is None else kept.reshape(horizon, n_aps, n_locations)
     return OnlineRun(log=log, zone_policies=list(zone_pi), policies=policies)

@@ -144,6 +144,7 @@ class RegretReport:
     total_benchmark_cost: float
     regret: float
     regret_upper: float  # regret + the benchmark's gaps: bound against the exact optimum
+    zone_regret: list  # per zone: online minus benchmark cost over the zone's slots
     prefix_regret: np.ndarray  # Reg(t)/t, length horizon
     lipschitz_used: float
     eta_used: float | None
@@ -209,11 +210,13 @@ def regret(
             raw_regret = float(alpha_cost(online_loads, params) - alpha_cost(bench_loads, params))
 
     regret_value = total_online - total_bench
+    by_zone = (online_costs - bench_costs).reshape(partition.periods, partition.zones, -1)
     return RegretReport(
         total_online_cost=total_online,
         total_benchmark_cost=total_bench,
         regret=regret_value,
         regret_upper=regret_value + sum(d.gap for d in benchmark.diagnostics),
+        zone_regret=by_zone.sum(axis=(0, 2)).tolist(),
         prefix_regret=curve,
         lipschitz_used=float(used_l),
         eta_used=eta,

@@ -148,6 +148,15 @@ class Topology:
         return inv
 
     @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """(max APs per location, n_locations) AP indices: column i lists location
+        i's serving APs in AP order, padded with APs that do not serve it."""
+        degree = self.support.sum(axis=0).max()
+        table = np.argsort(~self.support, axis=0, kind="stable")[:degree]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def neighbors_of_location(self) -> tuple:
         """For each location, the ordered AP indices that can serve it."""
         return tuple(np.flatnonzero(self.support[:, i]) for i in range(self.n_locations))

@@ -17,7 +17,8 @@ from assoclearn import (
     validate_policy,
     window_of,
 )
-from assoclearn.cost import grad_from_loads
+from assoclearn.cost import grad_from_loads, load_slope
+from assoclearn.learner import STACK_ENTRIES
 from conftest import make_random_policy, make_random_topology
 
 
@@ -280,5 +281,52 @@ class TestRunOnline:
             assert run.log.zones[t] == zone + 1
             state[zone] = pi, grad_from_loads(loads, lam, topo, params)
         assert run.log.support_loss_events == losses > 0
+        for zone in range(zones):
+            np.testing.assert_array_equal(run.zone_policies[zone], state[zone][0])
+
+    def test_compact_layout_matches_dense_eg_loop(self, rng):
+        # irregular degrees: location 0 hears every AP (no padding), locations
+        # 1-49 hear one AP, the rest a random subset
+        n_aps, n_locations = 4, 6000
+        support = rng.random((n_aps, n_locations)) < 0.4
+        support[:, 0] = True
+        support[:, 1:50] = False
+        support[rng.integers(n_aps, size=49), np.arange(1, 50)] = True
+        orphans = np.flatnonzero(~support.any(axis=0))
+        support[rng.integers(n_aps, size=orphans.size), orphans] = True
+        rate = np.where(support, rng.uniform(0.05, 4.0, support.shape), 0.0)
+        topo = Topology(service_rate=rate)
+        periods, zones, width = 2, 3, 3
+        assert STACK_ENTRIES // topo.neighbor_table.size < zones  # more than one block
+        horizon = periods * zones * width
+        trace = toy_trace(rng.uniform(0.0, 1e-3, (horizon, n_locations)))
+        partition = build_partition(horizon, zones, width)
+        params = CostParams(alpha=2, rho0=0.9)
+        eta = 1e4
+        run = run_online(topo, trace, partition, params, LearnerConfig(eta=eta, keep_policies=True))
+
+        # slot by slot on dense (n_aps, n_locations) arrays
+        inverse_rate = np.where(support, 1.0 / np.where(support, rate, 1.0), 0.0)
+        state = {}
+        losses = 0
+        for t in range(horizon):
+            zone = (t // width) % zones
+            if zone not in state:
+                pi = support / support.sum(axis=0)
+            else:
+                previous, grad = state[zone]
+                live = previous > 0
+                exponent = np.where(live, -eta * grad, -np.inf)
+                weights = previous * np.exp(np.where(live, exponent - exponent.max(axis=0), 0.0))
+                pi = weights / weights.sum(axis=0)
+                losses += int((live & (pi == 0)).sum())
+            lam = trace.demand[t]
+            loads = (pi * inverse_rate) @ lam
+            np.testing.assert_array_equal(run.policies[t], pi)
+            np.testing.assert_array_equal(run.log.loads[t], loads)
+            assert run.log.costs[t] == penalized_cost_from_loads(loads, params)
+            state[zone] = pi, (load_slope(loads, params)[:, None] * inverse_rate) * lam
+        assert run.log.support_loss_events == losses > 0
+        assert type(run.log.support_loss_events) is int
         for zone in range(zones):
             np.testing.assert_array_equal(run.zone_policies[zone], state[zone][0])

@@ -173,6 +173,23 @@ class TestRegret:
         assert doc["regret"] == report.regret
         assert len(doc["prefix_regret"]) == 8
 
+    def test_zone_regret_decomposes_regret(self, rng):
+        topo = make_random_topology(rng, 4, 3)
+        trace = toy_trace(rng.uniform(0.1, 0.9, (24, 4)))
+        partition = build_partition(24, 3, 2)
+        params = CostParams(alpha=2, rho0=0.8)
+        run = run_online(topo, trace, partition, params, LearnerConfig(eta=2.0))
+        solution = solve_periodic_static(topo, trace, partition, params)
+        report = regret(run.log.costs, solution, trace, partition, topo, params)
+        bench_costs, _ = replay_benchmark(solution, trace, partition, topo, params)
+        assert len(report.zone_regret) == 3
+        assert math.isclose(sum(report.zone_regret), report.regret, rel_tol=1e-9)
+        expected = [0.0] * 3
+        for t in range(24):
+            expected[run.log.zones[t] - 1] += run.log.costs[t] - bench_costs[t]
+        np.testing.assert_allclose(report.zone_regret, expected, rtol=1e-12, atol=1e-15)
+        assert report.to_dict()["zone_regret"] == report.zone_regret
+
     def test_raw_reading_absent_when_overloaded(self, rng):
         topo = Topology(service_rate=np.array([[1.0], [1.0]]))
         trace = toy_trace(np.full((4, 1), 3.0))  # loads >= 1 whatever the split

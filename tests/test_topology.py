@@ -192,6 +192,28 @@ class TestTopologyInvariants:
             assert 1 <= m_ap <= topo.n_aps
 
 
+class TestNeighborTable:
+    def test_hand_built_network(self):
+        topo = Topology(
+            service_rate=np.array(
+                [[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 4.0, 0.0], [5.0, 6.0, 0.0, 7.0]]
+            )
+        )
+        # serving APs in AP order, then AP 0 pads the single-AP location 3
+        np.testing.assert_array_equal(topo.neighbor_table, [[0, 1, 0, 2], [2, 2, 1, 0]])
+
+    def test_layout_properties_random(self, rng):
+        for _ in range(20):
+            topo = make_random_topology(rng, int(rng.integers(1, 12)), int(rng.integers(1, 7)))
+            table = topo.neighbor_table
+            assert table.shape == (max_degrees(topo)[1], topo.n_locations)
+            for i, aps in enumerate(topo.neighbors_of_location):
+                column = table[:, i]
+                np.testing.assert_array_equal(column[: aps.size], aps)
+                assert not topo.support[column[aps.size :], i].any()
+                assert np.unique(column).size == column.size
+
+
 class TestTopologyJson:
     def test_round_trip(self, rng, tmp_path):
         topo = make_random_topology(rng, 6, 4)
