@@ -15,8 +15,9 @@ for k in (1, 2):
     print(f"  window {k}: {list(partition.window(k))}")
 
 for t in (1, 4, 7, 18):
-    zone, rank, first = al.window_of(partition, t)
-    marker = " (opens its window)" if first else ""
+    zone = next(k for k in (1, 2) if t in partition.window(k))
+    rank = list(partition.window(zone)).index(t) + 1
+    marker = " (opens its window)" if rank == 1 else ""
     print(f"  slot {t:2d} -> zone {zone}, visit {rank} of that window{marker}")
 
 # a reproducible diurnal trace: per-location base rates, a sinusoidal

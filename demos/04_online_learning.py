@@ -31,7 +31,7 @@ run = al.run_online(topology, trace, partition, params, al.LearnerConfig(eta=0.5
 log = run.log
 
 print(f"{horizon} slots, {partition.zones} windows, eta=0.5")
-print(f"underflow events: {log.support_loss_events}")
+print(f"links the final zone policies play as exactly 0: {log.support_loss_events}")
 print(f"threshold violations: {al.count_violations(log)} (slot-AP pairs, slots)")
 
 # day-by-day average cost: the first day pays for the uniform restarts

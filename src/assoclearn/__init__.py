@@ -28,7 +28,6 @@ from .traffic import (
     generate_synthetic,
     load_trace_csv,
     save_trace_csv,
-    window_of,
 )
 from .cost import (
     CostParams,
@@ -45,7 +44,7 @@ from .learner import (
     LearnerConfig,
     OnlineRun,
     RunLog,
-    egd_step,
+    column_softmax,
     entropy_regularizer,
     init_uniform,
     mirror_map,
@@ -93,7 +92,6 @@ __all__ = [
     "generate_synthetic",
     "load_trace_csv",
     "save_trace_csv",
-    "window_of",
     "CostParams",
     "alpha_cost",
     "ap_load",
@@ -106,7 +104,7 @@ __all__ = [
     "LearnerConfig",
     "OnlineRun",
     "RunLog",
-    "egd_step",
+    "column_softmax",
     "entropy_regularizer",
     "init_uniform",
     "mirror_map",

@@ -1,10 +1,12 @@
 """Hindsight benchmarks: one optimal static policy per time window.
 
 Each window's policy minimizes the window-aggregated penalized objective f
-over the product of per-location simplices, by entropic mirror steps
-(`egd_step`) from the uniform split. Each window has its own step s: a
-step is accepted if f(pi+) <= f(pi) + <grad, pi+ - pi> + KL(pi+ || pi) / s,
-and then s grows by STEP_GROWTH; a rejected step is retried with s halved.
+over the product of per-location simplices, by entropic mirror steps from
+the uniform split: pi+ = `column_softmax`(log(pi) - s * grad), as in the
+online learner. Each window has its own step s: a step is accepted if
+f(pi+) <= f(pi) + <grad, pi+ - pi> + KL(pi+ || pi) / s, which equals
+f(pi) - <grad, pi> - sum_i log Z_i / s with Z_i = sum_j pi_ji exp(-s grad_ji);
+then s grows by STEP_GROWTH. A rejected step is retried with s halved.
 Before each step the window's Frank-Wolfe gap
 <grad, pi> - sum_i min_{j in N(i)} grad_ji, an upper bound on f(pi) - f*,
 is computed; the window stops once it is at most tolerance * max(1, |f|).
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cost import CostParams, lipschitz_bound, load_slope, penalized_values
-from .learner import egd_step, init_uniform
+from .learner import column_softmax
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace, build_partition
 
@@ -37,8 +39,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,9 @@ def solve_windows(
     """
     solver = solver or SolverConfig()
     n_windows, _, window_length = demands.shape
-    pi = np.repeat(init_uniform(topology)[None], n_windows, axis=0)
+    opening = np.where(topology.support, 0.0, -np.inf)  # log-weights of the uniform split
+    uniform, log_norm = column_softmax(opening)
+    pi = np.repeat(uniform[None], n_windows, axis=0)
     peaks = demands.max(axis=(1, 2))
     lipschitz = np.array([lipschitz_bound(topology, float(p), params) for p in peaks])
     with np.errstate(over="ignore"):
@@ -133,6 +137,7 @@ def solve_windows(
     converged = np.ones(n_windows, dtype=bool)
     active = np.flatnonzero(np.isfinite(steps))
     current, step = pi[active], steps[active]
+    log_pi = np.repeat((opening - log_norm)[None], active.size, axis=0)
     # Demands stay the caller's single copy until some window finishes: the
     # loads product reads it as stored, the gradient through its transpose.
     active_demands = demands if active.size == n_windows else demands[active]
@@ -141,29 +146,30 @@ def solve_windows(
     while active.size:
         grad = (load_slope(loads, params) @ active_demands.swapaxes(1, 2)) * topology.inverse_rate
         best = np.where(topology.support, grad, np.inf).min(axis=1).sum(axis=1)
-        gaps[active] = (grad * current).sum(axis=(1, 2)) - best
+        linear = (grad * current).sum(axis=(1, 2))
+        gaps[active] = linear - best
         converged[active] = gaps[active] <= solver.tolerance * np.maximum(1.0, np.abs(values))
         running = ~converged[active] & (iterations[active] < solver.max_iterations)
         if not running.all():
             pi[active] = current
-            active, current, grad, loads, values, step = (
-                a[running] for a in (active, current, grad, loads, values, step)
+            active, current, log_pi, grad, linear, loads, values, step = (
+                a[running] for a in (active, current, log_pi, grad, linear, loads, values, step)
             )
             active_demands = active_demands[running]
         trial = np.arange(active.size)  # windows yet to take this iteration's step
         while trial.size:
-            x, g, s, f = current[trial], grad[trial], step[trial], values[trial]
-            candidate = egd_step(x, g, s[:, None, None])
+            g, s, f = grad[trial], step[trial], values[trial]
+            theta = log_pi[trial] - s[:, None, None] * g
+            candidate, log_norm = column_softmax(theta)
             new_loads = (candidate * topology.inverse_rate) @ (
                 active_demands if trial.size == active.size else active_demands[trial]
             )
             new_values = _objectives(new_loads, params)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kl = np.where(candidate > 0, candidate * np.log(candidate / x), 0.0)
-            model = (g * (candidate - x)).sum(axis=(1, 2)) + kl.sum(axis=(1, 2)) / s
+            model = -linear[trial] - log_norm.sum(axis=(1, 2)) / s
             ok = new_values - f <= model + ROUNDING * np.maximum(1.0, np.abs(f))
             done = trial[ok]
             current[done], loads[done], values[done] = candidate[ok], new_loads[ok], new_values[ok]
+            log_pi[done] = (theta - log_norm)[ok]
             step[done] *= STEP_GROWTH
             trial = trial[~ok]
             step[trial] /= 2  # a rejected window retries with half the step

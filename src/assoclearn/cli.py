@@ -17,6 +17,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -64,13 +65,14 @@ class ConfigError(ValueError):
 
 
 # A kind is (what a valid value is, its test, the conversion of a valid value).
-# JSON numbers parse to int or float; type() keeps true and false out of them.
-NUMBER = ("a number", lambda v: type(v) in (int, float), float)
+# JSON numbers parse to int or float, and to NaN or Infinity as Python's json
+# module reads them; type() keeps true and false out of them.
+NUMBER = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v), float)
 COUNT = ("a positive integer", lambda v: type(v) is int and v > 0, int)
 SEED = ("a non-negative integer", lambda v: type(v) is int and v >= 0, int)
 STEP = (
-    "a positive number or 'auto'",
-    lambda v: v == "auto" or type(v) in (int, float) and v > 0,
+    "a positive finite number or 'auto'",
+    lambda v: v == "auto" or type(v) in (int, float) and 0 < v < math.inf,
     lambda v: v if v == "auto" else float(v),
 )
 TEXT = ("a string", lambda v: isinstance(v, str), str)

@@ -28,12 +28,12 @@ class CostParams:
     psi: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be non-negative and finite")
         if not 0 < self.rho0 <= 1:
             raise ValueError("rho0 must lie in (0, 1]")
-        if self.psi <= 0:
-            raise ValueError("psi must be positive")
+        if not 0 < self.psi < np.inf:
+            raise ValueError("psi must be positive and finite")
         if self.rho0 == 1 and self.alpha > 0:
             raise ValueError(
                 "rho0 = 1 is only allowed for alpha = 0; the cost and its "

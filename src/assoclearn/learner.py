@@ -2,13 +2,13 @@
 
 Each location's association vector lives on a probability simplex over its
 neighbor APs, so the natural online scheme is mirror descent with the
-entropy regularizer: a multiplicative update followed by a per-column
-normalization, which stays on the simplex without projections. The online
-runner keeps one update thread per time zone; a thread starts from the
-uniform split at its window's first slot and otherwise advances from the
-policy and gradient it stored at the previous slot of the same window.
-Every window has the same length, so the threads advance in lock-step,
-one window rank at a time, as a stack of policies.
+entropy regularizer: one Hedge instance per location, whose policy is the
+column softmax of its log-weights (`column_softmax`). The hindsight solver
+takes the same steps. The online runner keeps one update thread per time
+zone; a thread starts from the uniform split at its window's first slot and
+otherwise advances from the log-policy and gradient it stored at the
+previous slot of the same window. Every window has the same length, so the
+threads advance in lock-step, one window rank at a time, as a stack.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .traffic import TimePartition, TrafficTrace
 # Policy entries per lock-step block of threads: a larger stack falls out of
 # cache, and a step on it then costs more than steps on smaller blocks.
 STACK_ENTRIES = 2**16
+# exp is slow near float underflow (-708) and at -inf. A weight below
+# exp(UNDERFLOW) ~ 1e-304 of its column's largest adds nothing to the total.
+UNDERFLOW = -700.0
 
 
 @dataclass(frozen=True)
@@ -34,37 +37,33 @@ class LearnerConfig:
     keep_policies: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
+
+
+def column_softmax(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of log-weights over axis -2, and each column's log-normalizer.
+
+    theta may be a stack (..., rows, n_locations). Exponents are shifted by
+    their column's largest, so the map is overflow-free at any scale; -inf
+    entries and those more than -UNDERFLOW below the largest play exactly 0.
+    The entropic mirror step from pi along g with step s is
+    column_softmax(log(pi) - s * g), and theta minus the normalizer is the
+    step's log-policy, finite wherever theta is.
+    """
+    shift = theta.max(axis=-2, keepdims=True)
+    weights = theta - shift
+    live = weights > UNDERFLOW
+    np.exp(np.maximum(weights, UNDERFLOW, out=weights), out=weights)
+    weights *= live
+    totals = weights.sum(axis=-2, keepdims=True)
+    weights /= totals
+    return weights, shift + np.log(totals)
 
 
 def init_uniform(topology: Topology) -> np.ndarray:
     """Split every location's demand evenly across its neighbor APs."""
-    counts = topology.support.sum(axis=0)
-    return topology.support / counts[None, :]
-
-
-def egd_step(pi: np.ndarray, grad: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
-    """One multiplicative update: pi_ji * exp(-eta * g_ji), renormalized per column.
-
-    pi and grad may be (K, n_aps, n_locations) stacks, with eta of shape
-    (K, 1, 1) for one step per policy. Exponents are max-shifted per column
-    before exponentiation, so the update is overflow-free for any gradient
-    scale. Zero entries stay exactly zero.
-    """
-    pi = np.asarray(pi, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if pi.shape != grad.shape:
-        raise ValueError("policy and gradient shapes differ")
-    support = pi > 0
-    exponent = np.where(support, -eta * grad, -np.inf)
-    shift = exponent.max(axis=-2, keepdims=True)
-    # exp(-inf) takes a slow path; off-support entries are zeroed by pi anyway
-    weights = pi * np.exp(np.where(support, exponent - shift, 0.0))
-    totals = weights.sum(axis=-2, keepdims=True)
-    if (totals <= 0).any():
-        raise ValueError("a location lost all routing mass; policy column was empty")
-    return weights / totals
+    return column_softmax(np.where(topology.support, 0.0, -np.inf))[0]
 
 
 def entropy_regularizer(pi: np.ndarray) -> float:
@@ -83,10 +82,7 @@ def mirror_map(topology: Topology, theta: np.ndarray, eta: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != topology.support.shape:
         raise ValueError("theta shape does not match the topology")
-    exponent = np.where(topology.support, eta * theta, -np.inf)
-    shift = exponent.max(axis=0)
-    weights = np.exp(exponent - shift[None, :])
-    return weights / weights.sum(axis=0)[None, :]
+    return column_softmax(np.where(topology.support, eta * theta, -np.inf))[0]
 
 
 @dataclass
@@ -97,6 +93,8 @@ class RunLog:
     loads: np.ndarray  # (T, n_aps)
     zones: np.ndarray  # (T,) 1-based zone of each slot
     rho0: float
+    # support entries the final zone policies play as exactly 0 (underflow);
+    # their log-weights stay finite, so later gradients can revive them
     support_loss_events: int = 0
 
     @property
@@ -133,20 +131,21 @@ def run_online(
     """Play the windowed multiplicative-update scheme over the whole trace.
 
     At slot t the policy is decided before the slot's demand is seen: the
-    uniform split if t opens its window, otherwise one `egd_step` from the
-    state stored at the window's previous slot. The demand then arrives, the
-    realized cost and loads are logged, and the gradient at the played
-    policy is stored for the thread's next slot.
+    uniform split if t opens its window, otherwise the column softmax of
+    log(pi) - eta * grad, from the log-policy and gradient stored at the
+    window's previous slot. The demand then arrives, the realized cost and
+    loads are logged, and the gradient at the played policy is stored for
+    the thread's next slot.
 
     With the demand reshaped to (period, zone, slot, location), rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
     therefore runs over the periods * slots_per_zone ranks and advances
     blocks of at most STACK_ENTRIES / (M * n_locations) threads (at least
-    one) as one policy stack in the compact layout of
-    `Topology.neighbor_table`, M rows deep. Loads come from the policies
-    scattered back to a dense stack, so every output matches a slot-by-slot
-    dense replay bit for bit. Steps never revive a zero entry, so a block's
-    support losses are its link count minus its final nonzero count.
+    one) as one log-policy stack in the compact layout of
+    `Topology.neighbor_table`, M rows deep, -inf off the support. Loads come
+    from the policies scattered back to a dense stack, so every output
+    matches a slot-by-slot dense replay bit for bit. A block's support
+    losses are its link count minus its final policies' nonzero count.
     """
     if partition.horizon != trace.horizon:
         raise ValueError(
@@ -165,7 +164,8 @@ def run_online(
     loads = np.empty((periods, n_zones, width, n_aps))
     kept = np.empty((periods, n_zones, width, n_aps, n_locations)) if config.keep_policies else None
     zone_pi = np.zeros((n_zones, n_aps, n_locations))
-    uniform = np.take_along_axis(init_uniform(topology), table, axis=0)
+    # a thread's log-weights at its window's first slot: 0 on links, -inf on padding
+    opening = np.where(np.take_along_axis(topology.support, table, axis=0), 0.0, -np.inf)
     block = max(1, STACK_ENTRIES // table.size)
     support_losses = 0
 
@@ -174,11 +174,13 @@ def run_online(
         count = threads.stop - start
         index = np.arange(count)[:, None, None] * (n_aps * n_locations) + offsets
         dense = np.zeros((count, n_aps, n_locations))
-        pi = np.repeat(uniform[None], count, axis=0)
+        theta = np.repeat(opening[None], count, axis=0)
         for rank in range(periods * width):
             p, s = divmod(rank, width)
             if rank:
-                pi = egd_step(pi, grad, config.eta)
+                theta -= config.eta * grad
+            pi, log_norm = column_softmax(theta)
+            theta -= log_norm
 
             lam = demand[p, threads, s]
             dense.reshape(-1)[index] = pi * inverse_rate

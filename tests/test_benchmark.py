@@ -95,6 +95,12 @@ class TestSolveWindow:
         )
         assert not diag.converged and diag.iterations == 3
 
+    @pytest.mark.parametrize("tolerance", [0.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # a NaN gap target never stops a window; an infinite one stops it unsolved
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=tolerance)
+
     def test_unbounded_step_rejected(self):
         # the overload slope 1e300 times a demand of 1e10 overflows the
         # Lipschitz bound; a zero step would leave NaN policies behind

@@ -188,6 +188,16 @@ class TestValidateAndErrors:
             ("sweep.zones", ["a"]),
             ("sweep.zones", [0]),
             ("sweep.zones", [7]),  # the period is 12 slots
+            # Python's json module reads NaN and Infinity as floats
+            ("cost.psi", float("nan")),
+            ("cost.psi", float("inf")),
+            ("cost.alpha", float("nan")),
+            ("solver.tolerance", float("nan")),
+            ("solver.tolerance", float("inf")),
+            ("topology.grid.spacing", float("nan")),
+            ("topology.radio.bandwidth_hz", float("inf")),
+            ("sweep.alpha", [float("nan")]),
+            ("eta", float("inf")),
         ],
     )
     def test_validate_names_bad_key_once(self, tmp_path, capsys, path, value):

@@ -43,6 +43,14 @@ class TestCostParams:
         with pytest.raises(ValueError):
             CostParams(alpha=1, psi=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", np.nan), ("alpha", np.inf), ("psi", np.nan), ("psi", np.inf), ("rho0", np.nan)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CostParams(**{"alpha": 1.0, "rho0": 0.5, field: value})
+
     def test_full_threshold_needs_alpha_zero(self):
         CostParams(alpha=0.0, rho0=1.0)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from assoclearn import (
     Topology,
     TrafficTrace,
     build_partition,
-    egd_step,
+    column_softmax,
     entropy_regularizer,
     grad_penalized_cost,
     init_uniform,
@@ -15,10 +15,9 @@ from assoclearn import (
     penalized_cost_from_loads,
     run_online,
     validate_policy,
-    window_of,
 )
 from assoclearn.cost import grad_from_loads, load_slope
-from assoclearn.learner import STACK_ENTRIES
+from assoclearn.learner import STACK_ENTRIES, UNDERFLOW
 from conftest import make_random_policy, make_random_topology
 
 
@@ -38,50 +37,84 @@ class TestInitUniform:
         np.testing.assert_allclose(pi.sum(axis=0), [1.0, 1.0])
 
 
+def log_policy(pi):
+    """Entrywise log of a policy, -inf where it is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(pi)
+
+
 class TestEgdStep:
+    """An exponentiated-gradient step from pi along g is column_softmax(log(pi) - eta * g)."""
+
     def test_constant_gradient_is_identity(self, rng):
         topo = make_random_topology(rng, 4, 3)
         pi = make_random_policy(rng, topo)
-        grad = np.where(topo.support, rng.uniform(-2, 2, 4)[None, :], 0.0)
-        np.testing.assert_allclose(egd_step(pi, grad, 0.7), pi, rtol=0, atol=1e-15)
+        shift = rng.uniform(-2, 2, 4)
+        grad = np.where(topo.support, shift[None, :], 0.0)
+        out, log_norm = column_softmax(log_policy(pi) - 0.7 * grad)
+        np.testing.assert_allclose(out, pi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(log_norm.ravel(), -0.7 * shift, rtol=0, atol=1e-14)
 
     def test_hand_example(self):
         pi = np.array([[0.5], [0.5]])
         grad = np.array([[1.0], [0.0]])
-        np.testing.assert_allclose(
-            egd_step(pi, grad, np.log(2)).ravel(), [1 / 3, 2 / 3]
-        )
+        out, log_norm = column_softmax(np.log(pi) - np.log(2) * grad)
+        np.testing.assert_allclose(out.ravel(), [1 / 3, 2 / 3])
+        # normalizer 0.5 * exp(-log 2) + 0.5 * exp(0) = 3/4
+        np.testing.assert_allclose(log_norm.ravel(), [np.log(0.75)])
 
     def test_zero_step_is_identity(self, rng):
         topo = make_random_topology(rng, 3, 3)
         pi = make_random_policy(rng, topo)
         grad = rng.normal(size=pi.shape) * topo.support
-        np.testing.assert_allclose(egd_step(pi, grad, 0.0), pi, rtol=0, atol=1e-15)
+        out, log_norm = column_softmax(log_policy(pi) - 0.0 * grad)
+        np.testing.assert_allclose(out, pi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(log_norm, 0.0, rtol=0, atol=1e-15)
 
     def test_preserves_simplex_and_support(self, rng):
         topo = make_random_topology(rng, 6, 4)
-        pi = make_random_policy(rng, topo)
+        theta = log_policy(make_random_policy(rng, topo))
         for _ in range(50):
-            grad = rng.normal(scale=3.0, size=pi.shape) * topo.support
-            pi = egd_step(pi, grad, 0.3)
+            grad = rng.normal(scale=3.0, size=theta.shape) * topo.support
+            pi, log_norm = column_softmax(theta - 0.3 * grad)
+            theta = theta - 0.3 * grad - log_norm
             np.testing.assert_allclose(pi.sum(axis=0), np.ones(6), atol=1e-9)
             assert ((pi > 0) == topo.support).all()
+            assert (np.isfinite(theta) == topo.support).all()
 
     def test_stack_matches_per_policy_calls(self, rng):
         topo = make_random_topology(rng, 5, 3)
         pis = np.stack([make_random_policy(rng, topo) for _ in range(4)])
         grads = rng.normal(scale=2.0, size=pis.shape) * topo.support
         steps = rng.uniform(0.1, 2.0, 4)
-        stacked = egd_step(pis, grads, steps[:, None, None])
+        thetas = log_policy(pis) - steps[:, None, None] * grads
+        stacked, log_norms = column_softmax(thetas)
+        assert stacked.shape == pis.shape and log_norms.shape == (4, 1, 5)
         for k in range(4):
-            np.testing.assert_array_equal(stacked[k], egd_step(pis[k], grads[k], steps[k]))
+            out, log_norm = column_softmax(thetas[k])
+            np.testing.assert_array_equal(stacked[k], out)
+            np.testing.assert_array_equal(log_norms[k], log_norm)
+
+    def test_far_below_the_column_maximum_plays_zero(self):
+        theta = np.array([[0.0], [UNDERFLOW + 1.0], [UNDERFLOW - 1.0], [-np.inf]])
+        out, log_norm = column_softmax(theta + 5.0)
+        total = 1.0 + np.exp(UNDERFLOW + 1.0)
+        np.testing.assert_array_equal(out.ravel(), [1.0 / total, np.exp(UNDERFLOW + 1.0) / total, 0.0, 0.0])
+        np.testing.assert_allclose(log_norm.ravel(), [5.0 + np.log(total)], rtol=1e-15)
 
     def test_huge_gradients_stay_finite(self):
-        pi = np.array([[0.5], [0.5]])
+        theta = np.log(np.array([[0.5], [0.5]]))
         grad = np.array([[1e6], [-1e6]])
-        out = egd_step(pi, grad, 1.0)
-        assert np.isfinite(out).all()
+        out, log_norm = column_softmax(theta - grad)
+        assert np.isfinite(out).all() and np.isfinite(log_norm).all()
         np.testing.assert_allclose(out.sum(), 1.0)
+        # the first entry plays exactly 0, but its log-weight stays finite, so
+        # an opposite gradient of the same size brings the split back
+        assert out[0, 0] == 0.0
+        theta = theta - grad - log_norm
+        assert np.isfinite(theta).all()
+        out, _ = column_softmax(theta + grad)
+        np.testing.assert_allclose(out.ravel(), [0.5, 0.5])
 
 
 class TestEntropy:
@@ -135,13 +168,14 @@ class TestMirrorMap:
         # folding the gradient history into one mirror step is the same map
         topo = make_random_topology(rng, 5, 4)
         eta = 0.4
-        pi = init_uniform(topo)
-        theta = np.zeros_like(pi)
-        for _ in range(3):
-            grad = rng.normal(size=pi.shape) * topo.support
-            pi = egd_step(pi, grad, eta)
+        log_pi = log_policy(init_uniform(topo))
+        theta = np.zeros_like(log_pi)
+        for _ in range(20):
+            grad = rng.normal(size=log_pi.shape) * topo.support
+            pi, log_norm = column_softmax(log_pi - eta * grad)
+            log_pi = log_pi - eta * grad - log_norm
             theta -= grad
-            np.testing.assert_allclose(pi, mirror_map(topo, theta, eta), atol=1e-9)
+            np.testing.assert_allclose(pi, mirror_map(topo, theta, eta), rtol=0, atol=1e-12)
 
 
 class TestStrongConvexity:
@@ -174,10 +208,14 @@ class TestRunOnline:
         params = CostParams(alpha=0)
         run = run_online(topo, trace, partition, params, LearnerConfig(eta=0.5, keep_policies=True))
         uniform = init_uniform(topo)
+        openers = 0
         for t in range(1, 13):
-            _, _, first = window_of(partition, t)
-            if first:
+            period, offset = divmod(t - 1, 4)
+            rank = period * 2 + offset % 2 + 1
+            if rank == 1:
                 np.testing.assert_array_equal(run.policies[t - 1], uniform)
+                openers += 1
+        assert openers == 2
 
     def test_single_zone_is_plain_sequential_descent(self, rng):
         topo = make_random_topology(rng, 3, 2)
@@ -186,11 +224,11 @@ class TestRunOnline:
         params = CostParams(alpha=2, rho0=0.9)
         eta = 0.3
         run = run_online(topo, trace, partition, params, LearnerConfig(eta=eta, keep_policies=True))
-        pi = init_uniform(topo)
+        theta = np.zeros(topo.support.shape)  # minus the summed gradients of the played policies
         for t in range(1, 7):
-            np.testing.assert_allclose(run.policies[t - 1], pi, atol=1e-12)
-            grad = grad_penalized_cost(pi, trace.demand[t - 1], topo, params)
-            pi = egd_step(pi, grad, eta)
+            pi = run.policies[t - 1]
+            np.testing.assert_allclose(pi, mirror_map(topo, theta, eta), rtol=0, atol=1e-12)
+            theta -= grad_penalized_cost(pi, trace.demand[t - 1], topo, params)
 
     def test_two_slot_hand_execution(self):
         topo = Topology(service_rate=np.array([[1.0], [2.0]]))
@@ -213,7 +251,7 @@ class TestRunOnline:
             topo, trace, partition, CostParams(alpha=0), LearnerConfig(eta=1.0, keep_policies=True)
         )
         uniform = init_uniform(topo)
-        openers = [t for t in range(1, 19) if window_of(partition, t)[2]]
+        openers = [int(window[0]) for window in partition.windows()]
         assert openers == [1, 4]
         later = [t for t in range(1, 19) if t not in openers]
         assert all(not np.array_equal(run.policies[t - 1], uniform) for t in later)
@@ -227,9 +265,7 @@ class TestRunOnline:
         log = run.log
         assert log.horizon == 8
         np.testing.assert_array_equal(log.violations, log.loads > params.rho0)
-        np.testing.assert_array_equal(
-            log.zones, [window_of(partition, t)[0] for t in range(1, 9)]
-        )
+        np.testing.assert_array_equal(log.zones, [(t - 1) // 2 % 2 + 1 for t in range(1, 9)])
         assert log.support_loss_events == 0
 
     def test_policies_stay_feasible(self, rng):
@@ -262,27 +298,35 @@ class TestRunOnline:
         eta = 1e4  # large enough for some policy entries to underflow
         run = run_online(topo, trace, partition, params, LearnerConfig(eta=eta, keep_policies=True))
 
+        # slot by slot, one dense (n_aps, n_locations) log-policy per zone
         inverse_rate = topo.inverse_rate
         state = {}
-        losses = 0
+        underflows = 0
         for t in range(horizon):
             zone = (t // width) % zones
             if zone not in state:  # the window's first slot
-                pi = init_uniform(topo)
+                theta = np.where(topo.support, 0.0, -np.inf)
             else:
-                previous, grad = state[zone]
-                pi = egd_step(previous, grad, eta)
-                losses += int(np.count_nonzero((previous > 0) & (pi == 0)))
+                log_pi, grad, _ = state[zone]
+                theta = log_pi - eta * grad
+            pi, log_norm = column_softmax(theta)
+            log_pi = theta - log_norm
+            assert (np.isfinite(log_pi) == topo.support).all()  # no AP is lost for good
+            underflows += int(np.count_nonzero(topo.support & (pi == 0)))
             lam = trace.demand[t]
             loads = (pi * inverse_rate) @ lam
             np.testing.assert_array_equal(run.policies[t], pi)
             np.testing.assert_array_equal(run.log.loads[t], loads)
             assert run.log.costs[t] == penalized_cost_from_loads(loads, params)
             assert run.log.zones[t] == zone + 1
-            state[zone] = pi, grad_from_loads(loads, lam, topo, params)
-        assert run.log.support_loss_events == losses > 0
+            state[zone] = log_pi, grad_from_loads(loads, lam, topo, params), pi
+        assert underflows > 0
+        losses = 0
         for zone in range(zones):
-            np.testing.assert_array_equal(run.zone_policies[zone], state[zone][0])
+            final = state[zone][2]
+            np.testing.assert_array_equal(run.zone_policies[zone], final)
+            losses += int(np.count_nonzero(topo.support & (final == 0)))
+        assert run.log.support_loss_events == losses > 0
 
     def test_compact_layout_matches_dense_eg_loop(self, rng):
         # irregular degrees: location 0 hears every AP (no padding), locations
@@ -305,28 +349,47 @@ class TestRunOnline:
         eta = 1e4
         run = run_online(topo, trace, partition, params, LearnerConfig(eta=eta, keep_policies=True))
 
-        # slot by slot on dense (n_aps, n_locations) arrays
+        # slot by slot on dense (n_aps, n_locations) log-policies, -inf off the links
         inverse_rate = np.where(support, 1.0 / np.where(support, rate, 1.0), 0.0)
         state = {}
-        losses = 0
         for t in range(horizon):
             zone = (t // width) % zones
             if zone not in state:
-                pi = support / support.sum(axis=0)
+                theta = np.where(support, 0.0, -np.inf)
             else:
-                previous, grad = state[zone]
-                live = previous > 0
-                exponent = np.where(live, -eta * grad, -np.inf)
-                weights = previous * np.exp(np.where(live, exponent - exponent.max(axis=0), 0.0))
-                pi = weights / weights.sum(axis=0)
-                losses += int((live & (pi == 0)).sum())
+                log_pi, grad, _ = state[zone]
+                theta = log_pi - eta * grad
+            shift = theta.max(axis=0, keepdims=True)
+            exponent = theta - shift
+            weights = np.where(exponent > UNDERFLOW, np.exp(np.maximum(exponent, UNDERFLOW)), 0.0)
+            totals = weights.sum(axis=0, keepdims=True)
+            pi = weights / totals
+            log_pi = theta - (shift + np.log(totals))
             lam = trace.demand[t]
             loads = (pi * inverse_rate) @ lam
             np.testing.assert_array_equal(run.policies[t], pi)
             np.testing.assert_array_equal(run.log.loads[t], loads)
             assert run.log.costs[t] == penalized_cost_from_loads(loads, params)
-            state[zone] = pi, (load_slope(loads, params)[:, None] * inverse_rate) * lam
+            state[zone] = log_pi, (load_slope(loads, params)[:, None] * inverse_rate) * lam, pi
+        losses = sum(int((support & (state[zone][2] == 0)).sum()) for zone in range(zones))
         assert run.log.support_loss_events == losses > 0
         assert type(run.log.support_loss_events) is int
         for zone in range(zones):
-            np.testing.assert_array_equal(run.zone_policies[zone], state[zone][0])
+            np.testing.assert_array_equal(run.zone_policies[zone], state[zone][2])
+
+    def test_underflowed_ap_is_played_again(self):
+        # location 0 hears AP 0 only, location 1 both APs. At slot 1 location 0
+        # overloads AP 0 (slope 3 against 1), and eta * (3 - 1) * 0.5 = 1000
+        # puts location 1's AP 0 entry at exp(-1000), exactly 0 in floats. At
+        # slot 2 location 1 overloads AP 1 alone, and the step favours AP 0 by
+        # 1600, so slot 3 of the same window plays AP 0 again.
+        topo = Topology(service_rate=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        trace = toy_trace([[0.9, 0.5], [0.0, 0.8], [0.0, 0.8]])
+        params = CostParams(alpha=0, rho0=0.5, psi=3.0)
+        run = run_online(
+            topo, trace, build_partition(3, 1, 3), params, LearnerConfig(eta=1000.0, keep_policies=True)
+        )
+        played = run.policies[:, 0, 1]  # AP 0's share of location 1, slot by slot
+        assert played[0] == 0.5 and played[1] == 0.0
+        assert played[2] > 0.5
+        assert run.log.support_loss_events == 0

@@ -8,7 +8,6 @@ from assoclearn import (
     generate_synthetic,
     load_trace_csv,
     save_trace_csv,
-    window_of,
 )
 
 
@@ -18,6 +17,9 @@ class TestPartition:
         assert part.periods == 3
         assert list(part.window(1)) == [1, 2, 3, 7, 8, 9, 13, 14, 15]
         assert list(part.window(2)) == [4, 5, 6, 10, 11, 12, 16, 17, 18]
+        for zone in (0, 3):
+            with pytest.raises(IndexError):
+                part.window(zone)
 
     def test_single_window(self):
         part = build_partition(10, 1, 10)
@@ -53,31 +55,6 @@ class TestPartition:
                     for tau in range(1, z + 1)
                 )
                 assert list(part.window(zone)) == expected
-
-
-class TestWindowOf:
-    def test_examples(self):
-        part = build_partition(18, 2, 3)
-        assert window_of(part, 7) == (1, 4, False)
-        assert window_of(part, 1) == (1, 1, True)
-        assert window_of(part, 4) == (2, 1, True)
-
-    def test_out_of_range(self):
-        part = build_partition(18, 2, 3)
-        with pytest.raises(IndexError):
-            window_of(part, 0)
-        with pytest.raises(IndexError):
-            window_of(part, 19)
-
-    def test_consistent_with_enumeration(self, rng):
-        for _ in range(100):
-            p, k, z = (int(rng.integers(1, 6)) for _ in range(3))
-            part = build_partition(p * k * z, k, z)
-            windows = part.windows()
-            for t in range(1, part.horizon + 1):
-                zone, rank, first = window_of(part, t)
-                assert windows[zone - 1][rank - 1] == t
-                assert first == (rank == 1)
 
 
 class TestSynthetic:
