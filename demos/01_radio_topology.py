@@ -29,7 +29,7 @@ m_loc, m_ap = al.max_degrees(topology)
 print(f"busiest AP covers {m_loc} locations; best-covered location sees {m_ap} APs")
 
 for i in (0, 12, 24):
-    aps = topology.neighbors_of_location[i]
+    aps = np.flatnonzero(topology.support[:, i])
     rates = topology.service_rate[aps, i]
     pairs = ", ".join(f"AP{j} at {r:.2f} pkt/s" for j, r in zip(aps, rates))
     print(f"location {i:2d}: {pairs}")

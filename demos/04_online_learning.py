@@ -32,7 +32,7 @@ log = run.log
 
 print(f"{horizon} slots, {partition.zones} windows, eta=0.5")
 print(f"links the final zone policies play as exactly 0: {log.support_loss_events}")
-print(f"threshold violations: {al.count_violations(log)} (slot-AP pairs, slots)")
+print(f"threshold violations: {al.violation_counts(log.loads, log.rho0)} (slot-AP pairs, slots)")
 
 # day-by-day average cost: the first day pays for the uniform restarts
 per_day = log.costs.reshape(-1, day).mean(axis=1)

@@ -57,19 +57,16 @@ from .benchmark import (
     solve_dynamic,
     solve_periodic_static,
     solve_static,
-    solve_window,
     solve_windows,
-    window_objective,
 )
 from .metrics import (
     BoundReport,
     RegretReport,
-    count_violations,
     regret,
-    regret_from_costs,
     replay_benchmark,
     runlog_to_csv,
     theoretical_bound,
+    violation_counts,
 )
 
 __version__ = "0.1.0"
@@ -115,15 +112,12 @@ __all__ = [
     "solve_dynamic",
     "solve_periodic_static",
     "solve_static",
-    "solve_window",
     "solve_windows",
-    "window_objective",
     "BoundReport",
     "RegretReport",
-    "count_violations",
     "regret",
-    "regret_from_costs",
     "replay_benchmark",
     "runlog_to_csv",
     "theoretical_bound",
+    "violation_counts",
 ]

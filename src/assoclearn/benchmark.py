@@ -78,21 +78,6 @@ class BenchmarkSolution:
             "diagnostics": [asdict(d) for d in self.diagnostics],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BenchmarkSolution":
-        return cls(
-            zone_policies=[np.asarray(p, dtype=float) for p in doc["zone_policies"]],
-            zone_objectives=[float(v) for v in doc["zone_objectives"]],
-            diagnostics=[WindowDiagnostics(**d) for d in doc["diagnostics"]],
-        )
-
-
-def window_objective(
-    pi: np.ndarray, demands: np.ndarray, topology: Topology, params: CostParams
-) -> float:
-    """Penalized objective summed over a window's (n_slots, n_locations) demand."""
-    return float(penalized_values((pi * topology.inverse_rate) @ demands.T, params).sum())
-
 
 def _objectives(loads: np.ndarray, params: CostParams) -> np.ndarray:
     """Per-window objective of a (n, n_aps, window_length) load stack."""
@@ -180,22 +165,6 @@ def solve_windows(
         WindowDiagnostics(*d) for d in zip(iterations.tolist(), gaps.tolist(), converged.tolist())
     ]
     return BenchmarkSolution(list(pi), values.tolist(), diagnostics)
-
-
-def solve_window(
-    topology: Topology,
-    trace: TrafficTrace,
-    window_slots: np.ndarray,
-    params: CostParams,
-    solver: SolverConfig | None = None,
-) -> tuple[np.ndarray, float, WindowDiagnostics]:
-    """Optimal static policy of one window: `solve_windows` on that window alone."""
-    slots = np.asarray(window_slots, dtype=int)
-    if slots.size == 0:
-        raise ValueError("window_slots must be nonempty")
-    demands = np.ascontiguousarray(trace.demand[slots - 1].T)[None]
-    solution = solve_windows(topology, demands, params, solver)
-    return solution.zone_policies[0], solution.zone_objectives[0], solution.diagnostics[0]
 
 
 def solve_periodic_static(

@@ -506,8 +506,9 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     for index, combo in enumerate(combos):
         groups.setdefault(_share_key(config, combo), []).append(index)
     tasks = [(config, inputs, [combos[i] for i in group], str(out)) for group in groups.values()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))  # the pool starts all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_combos, tasks))
     else:
         done = [_run_combos(task) for task in tasks]

@@ -40,8 +40,10 @@ class CostParams:
                 "gradient are unbounded at full load otherwise"
             )
         with np.errstate(over="ignore"):
-            slope = max(1.0, self.psi) * np.float64(1.0 - self.rho0) ** (-self.alpha)
-        if np.isinf(slope):
+            slope = float(np.float64(1.0 - self.rho0) ** (-self.alpha))
+        # the cost's slope at the threshold, kept outside the fields (eq, hash)
+        object.__setattr__(self, "threshold_slope", slope)
+        if np.isinf(max(1.0, self.psi) * slope):
             raise ValueError(
                 f"alpha = {self.alpha} with rho0 = {self.rho0}: the overload "
                 "slope psi * (1 - rho0)^-alpha overflows a float"
@@ -110,15 +112,14 @@ def load_slope(loads: np.ndarray, params: CostParams) -> np.ndarray:
     the threshold itself takes the interior branch.
     """
     loads = np.asarray(loads, dtype=float)
-    overload_slope = params.psi * (1.0 - params.rho0) ** (-params.alpha)
     interior = (1.0 - np.minimum(loads, params.rho0)) ** (-params.alpha)
-    return np.where(loads <= params.rho0, interior, overload_slope)
+    return np.where(loads <= params.rho0, interior, params.psi * params.threshold_slope)
 
 
 def penalized_values(loads: np.ndarray, params: CostParams) -> np.ndarray:
     """Elementwise penalized cost V_j: phi below rho0, linear extension above."""
     loads = np.asarray(loads, dtype=float)
-    overload_slope = params.psi * (1.0 - params.rho0) ** (-params.alpha)
+    overload_slope = params.psi * params.threshold_slope
     interior = _phi(np.minimum(loads, params.rho0), params.alpha)
     extension = _phi(np.float64(params.rho0), params.alpha) + overload_slope * (loads - params.rho0)
     return np.where(loads <= params.rho0, interior, extension)
@@ -161,5 +162,5 @@ def lipschitz_bound(topology: Topology, lambda_max: float, params: CostParams) -
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be non-negative")
-    slope_cap = max(1.0, params.psi) * (1.0 - params.rho0) ** (-params.alpha)
+    slope_cap = max(1.0, params.psi) * params.threshold_slope
     return float(slope_cap * lambda_max * topology.inverse_rate.max())

@@ -9,6 +9,7 @@ regret recomputed with the raw fairness cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ def theoretical_bound(
     with M_loc the maximum locations per AP and M_ap the maximum APs per
     location; eta_star = sqrt(2 * zones * M_loc * n_locations * log(M_ap)
     / (horizon * lipschitz^2 * M_ap)). Natural logarithms throughout.
+    Where lipschitz^2 is not a normal float, both use lipschitz as two
+    factors instead; a value that does not fit a float is inf, which still
+    bounds the regret.
     """
     if min(zones, horizon, max_locations_per_ap, max_aps_per_location, n_locations) < 1:
         raise ValueError("all counts must be positive")
@@ -63,21 +67,22 @@ def theoretical_bound(
     universal = lipschitz * math.sqrt(2.0 * zones * horizon)
     log_m = math.log(max_aps_per_location)
     first = zones * max_locations_per_ap * log_m / (eta * max_aps_per_location)
-    second = eta * horizon * lipschitz**2 / (2.0 * n_locations)
-    general = first + second
+    try:
+        square = lipschitz**2
+    except OverflowError:
+        square = math.inf
+    exact = sys.float_info.min <= square < math.inf  # a normal float
+    spread = eta * horizon * square if exact else eta * lipschitz * horizon * lipschitz
+    general = first + spread / (2.0 * n_locations)
 
     if lipschitz == 0.0:
         return BoundReport(general, universal, None, note="zero_gradient")
     if max_aps_per_location == 1:
         return BoundReport(general, universal, 0.0, note="single_ap_per_location")
-    eta_star = math.sqrt(
-        2.0
-        * zones
-        * max_locations_per_ap
-        * n_locations
-        * log_m
-        / (horizon * lipschitz**2 * max_aps_per_location)
-    )
+    ratio = 2.0 * zones * max_locations_per_ap * n_locations * log_m
+    eta_star = math.sqrt(ratio / (horizon * square * max_aps_per_location)) if exact else 0.0
+    if not 0.0 < eta_star < math.inf:  # T * L^2 * M_ap or the quotient left the float range
+        eta_star = math.sqrt(ratio / (horizon * max_aps_per_location)) / lipschitz
     return BoundReport(general, universal, eta_star)
 
 
@@ -85,11 +90,6 @@ def violation_counts(loads: np.ndarray, rho0: float) -> tuple[int, int]:
     """(slot-AP pairs with load > rho0, slots with at least one such AP)."""
     flags = np.asarray(loads) > rho0
     return int(flags.sum()), int(flags.any(axis=1).sum())
-
-
-def count_violations(log: RunLog) -> tuple[int, int]:
-    """Aggregate threshold violations of a run, strict comparison."""
-    return violation_counts(log.loads, log.rho0)
 
 
 def replay_benchmark(
@@ -115,15 +115,6 @@ def replay_benchmark(
     costs = penalized_values(window_loads, params).sum(axis=1).transpose(1, 0, 2).reshape(-1)
     loads = window_loads.transpose(2, 0, 3, 1).reshape(trace.horizon, topology.n_aps)
     return costs, loads
-
-
-def regret_from_costs(online_costs: np.ndarray, benchmark_costs: np.ndarray) -> float:
-    """Total online cost minus total benchmark cost."""
-    online_costs = np.asarray(online_costs, dtype=float)
-    benchmark_costs = np.asarray(benchmark_costs, dtype=float)
-    if online_costs.shape != benchmark_costs.shape:
-        raise ValueError("cost series lengths differ")
-    return float(online_costs.sum() - benchmark_costs.sum())
 
 
 def prefix_regret_per_slot(

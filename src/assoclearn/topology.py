@@ -156,16 +156,6 @@ class Topology:
         table.setflags(write=False)
         return table
 
-    @cached_property
-    def neighbors_of_location(self) -> tuple:
-        """For each location, the ordered AP indices that can serve it."""
-        return tuple(np.flatnonzero(self.support[:, i]) for i in range(self.n_locations))
-
-    @cached_property
-    def neighbors_of_ap(self) -> tuple:
-        """For each AP, the ordered location indices it can serve."""
-        return tuple(np.flatnonzero(self.support[j, :]) for j in range(self.n_aps))
-
 
 def grid_positions(nx: int, ny: int, spacing: float = 1.0) -> np.ndarray:
     """Regular (nx*ny, 2) grid of location coordinates, row-major."""

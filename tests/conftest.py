@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from assoclearn import Topology
+from assoclearn import Topology, TrafficTrace, solve_static
 
 
 def make_random_topology(rng, n_locations, n_aps, link_prob=0.7, rate_low=0.5, rate_high=4.0):
@@ -17,9 +17,17 @@ def make_random_topology(rng, n_locations, n_aps, link_prob=0.7, rate_low=0.5, r
 def make_random_policy(rng, topology):
     """Feasible policy: Dirichlet weights on each location's neighbor set."""
     pi = np.zeros((topology.n_aps, topology.n_locations))
-    for i, neighbors in enumerate(topology.neighbors_of_location):
+    for i in range(topology.n_locations):
+        neighbors = np.flatnonzero(topology.support[:, i])
         pi[neighbors, i] = rng.dirichlet(np.ones(neighbors.size))
     return pi
+
+
+def window_solution(topology, trace, window_slots, params, solver=None):
+    """(policy, objective, diagnostics) of the static benchmark on the 1-based slots."""
+    slots = np.asarray(window_slots, dtype=int)
+    solution = solve_static(topology, TrafficTrace(trace.demand[slots - 1]), params, solver)
+    return solution.zone_policies[0], solution.zone_objectives[0], solution.diagnostics[0]
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 import assoclearn as al
 from assoclearn.cli import main as cli_main
 from assoclearn.metrics import violation_counts
-from conftest import make_random_policy, make_random_topology
+from conftest import make_random_policy, make_random_topology, window_solution
 from oracles import grid_min_window_objective
 
 
@@ -185,7 +185,7 @@ def test_criterion_04_benchmark_matches_grid_oracle(rng):
         alpha = float(rng.choice([0.0, 1.0, 2.0]))
         rho0 = 0.7 if alpha > 0 else 1.0
         params = al.CostParams(alpha=alpha, rho0=rho0, psi=1.0)
-        _, objective, _ = al.solve_window(
+        _, objective, _ = window_solution(
             topology, trace, np.arange(1, slots + 1), params
         )
         oracle = grid_min_window_objective(
@@ -259,11 +259,11 @@ def test_criterion_08_entropy_identities(rng):
 
     for _ in range(20):
         topo = make_random_topology(rng, int(rng.integers(1, 8)), int(rng.integers(1, 6)))
-        sizes = np.array([len(n) for n in topo.neighbors_of_location], dtype=float)
+        sizes = topo.support.sum(axis=0).astype(float)
         expected = -sum(
             np.log(sizes[i]) / sizes[i]
             for j in range(topo.n_aps)
-            for i in topo.neighbors_of_ap[j]
+            for i in np.flatnonzero(topo.support[j])
         )
         actual = al.entropy_regularizer(al.init_uniform(topo))
         assert actual == pytest.approx(expected, abs=1e-12)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from assoclearn import (
-    BenchmarkSolution,
     CostParams,
     LearnerConfig,
     SolverConfig,
@@ -12,16 +11,15 @@ from assoclearn import (
     build_partition,
     generate_synthetic,
     init_uniform,
+    penalized_cost,
     run_online,
     solve_dynamic,
     solve_periodic_static,
     solve_static,
-    solve_window,
     validate_policy,
-    window_objective,
 )
 from assoclearn.metrics import replay_benchmark
-from conftest import make_random_topology
+from conftest import make_random_topology, window_solution
 from oracles import grid_min_window_objective, reference_frank_wolfe_gap
 from test_acceptance import acceptance_topology
 
@@ -33,7 +31,7 @@ def toy_trace(values):
 class TestSolveWindow:
     def test_zero_demand_returns_uniform(self, two_ap_topology):
         trace = toy_trace(np.zeros((3, 2)))
-        pi, objective, diag = solve_window(
+        pi, objective, diag = window_solution(
             two_ap_topology, trace, np.array([2]), CostParams(alpha=0)
         )
         np.testing.assert_array_equal(pi, init_uniform(two_ap_topology))
@@ -44,7 +42,7 @@ class TestSolveWindow:
         topo = Topology(service_rate=np.array([[1.0], [2.0]]))
         trace = toy_trace([[0.5]])
         params = CostParams(alpha=0, rho0=1.0, psi=1.0)
-        pi, objective, diag = solve_window(topo, trace, np.array([1]), params)
+        pi, objective, diag = window_solution(topo, trace, np.array([1]), params)
         assert diag.converged
         assert pi[1, 0] > 0.999
         oracle = grid_min_window_objective(
@@ -56,7 +54,7 @@ class TestSolveWindow:
         topo = Topology(service_rate=np.array([[2.0], [2.0]]))
         trace = toy_trace([[1.0]])
         params = CostParams(alpha=2, rho0=0.9)
-        pi, objective, diag = solve_window(topo, trace, np.array([1]), params)
+        pi, objective, diag = window_solution(topo, trace, np.array([1]), params)
         assert diag.converged
         # strictly convex and symmetric: even split, value 2/(1 - 0.25)
         np.testing.assert_allclose(pi.ravel(), [0.5, 0.5], atol=1e-6)
@@ -72,7 +70,7 @@ class TestSolveWindow:
             alpha = float(rng.choice([0.0, 1.0, 2.0]))
             rho0 = 0.7 if alpha > 0 else 1.0
             params = CostParams(alpha=alpha, rho0=rho0, psi=1.0)
-            pi, objective, _ = solve_window(
+            pi, objective, _ = window_solution(
                 topo, trace, np.arange(1, slots + 1), params
             )
             validate_policy(pi, topo)
@@ -84,13 +82,13 @@ class TestSolveWindow:
     def test_empty_window_rejected(self, two_ap_topology):
         trace = toy_trace(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            solve_window(two_ap_topology, trace, np.array([]), CostParams(alpha=0))
+            window_solution(two_ap_topology, trace, np.array([]), CostParams(alpha=0))
 
     def test_unconverged_reported_not_raised(self):
         topo = Topology(service_rate=np.array([[1.0], [2.0]]))
         trace = toy_trace([[0.5]])
         solver = SolverConfig(max_iterations=3, tolerance=1e-12)
-        _, _, diag = solve_window(
+        _, _, diag = window_solution(
             topo, trace, np.array([1]), CostParams(alpha=0), solver
         )
         assert not diag.converged and diag.iterations == 3
@@ -107,7 +105,7 @@ class TestSolveWindow:
         topo = Topology(service_rate=np.array([[1.0], [1.0]]))
         trace = toy_trace(np.full((4, 1), 1e10))
         with pytest.raises(ValueError, match="window 1: step bound"):
-            solve_window(topo, trace, np.arange(1, 5), CostParams(alpha=150, rho0=0.99))
+            window_solution(topo, trace, np.arange(1, 5), CostParams(alpha=150, rho0=0.99))
 
 
 class TestPeriodicStatic:
@@ -118,8 +116,8 @@ class TestPeriodicStatic:
         partition = build_partition(12, 3, 2)
         params = CostParams(alpha=2, rho0=0.9)
         solution = solve_periodic_static(topo, trace, partition, params)
-        single_slot, _, _ = solve_window(topo, trace, np.array([1]), params)
-        per_slot_value = window_objective(single_slot, lam[None, :], topo, params)
+        single_slot, _, _ = window_solution(topo, trace, np.array([1]), params)
+        per_slot_value = penalized_cost(single_slot, lam, topo, params)
         for objective in solution.zone_objectives:
             # each window holds 4 identical slots
             assert objective == pytest.approx(4 * per_slot_value, rel=1e-6)
@@ -207,7 +205,7 @@ class TestPeriodicStatic:
         assert not all(d.converged for d in diagnostics)
         assert sum(d.converged and d.iterations > 0 for d in diagnostics) >= 1
         for k, window in enumerate(partition.windows()):
-            pi, objective, diag = solve_window(topo, trace, window, params, solver)
+            pi, objective, diag = window_solution(topo, trace, window, params, solver)
             assert diag.iterations == diagnostics[k].iterations
             assert diag.converged == diagnostics[k].converged
             assert objective == pytest.approx(solution.zone_objectives[k], rel=1e-12, abs=1e-12)
@@ -226,7 +224,7 @@ class TestGapCertificate:
             alpha = float(rng.choice([0.0, 1.0, 2.0]))
             rho0 = 0.7 if alpha > 0 else 1.0
             params = CostParams(alpha=alpha, rho0=rho0, psi=1.0)
-            pi, objective, diag = solve_window(topo, trace, np.arange(1, slots + 1), params)
+            pi, objective, diag = window_solution(topo, trace, np.arange(1, slots + 1), params)
             oracle = grid_min_window_objective(service, trace.demand, alpha=alpha, rho0=rho0, psi=1.0)
             assert diag.gap >= objective - oracle - 1e-9, f"instance {instance}"
             reference = reference_frank_wolfe_gap(pi, service, trace.demand, alpha, rho0, 1.0)
@@ -240,7 +238,7 @@ class TestGapCertificate:
         trace = generate_synthetic(25, 5760, seed=2024, profile=SyntheticProfile(slots_per_day=240))
         window = build_partition(5760, 24, 10).window(12)
         params = CostParams(alpha=2.0, rho0=0.8)
-        pi, objective, diag = solve_window(topo, trace, window, params)
+        pi, objective, diag = window_solution(topo, trace, window, params)
         overloaded = ((pi * topo.inverse_rate) @ trace.demand[window - 1].T > params.rho0).mean()
         assert 0.2 <= overloaded <= 0.35
         assert diag.converged and diag.iterations < SolverConfig().max_iterations
@@ -258,17 +256,3 @@ class TestGapCertificate:
         for diag, objective in zip(solution.diagnostics, solution.zone_objectives):
             assert 0 <= diag.gap <= solver.tolerance * max(1.0, abs(objective))
 
-
-class TestBenchmarkJson:
-    def test_round_trip(self, rng):
-        topo = make_random_topology(rng, 3, 2)
-        trace = toy_trace(rng.uniform(0.1, 0.8, (4, 3)))
-        partition = build_partition(4, 2, 1)
-        solution = solve_periodic_static(topo, trace, partition, CostParams(alpha=0))
-        restored = BenchmarkSolution.from_dict(solution.to_dict())
-        assert restored.zone_objectives == solution.zone_objectives
-        for a, b in zip(restored.zone_policies, solution.zone_policies):
-            np.testing.assert_array_equal(a, b)
-        assert [d.converged for d in restored.diagnostics] == [
-            d.converged for d in solution.diagnostics
-        ]

@@ -42,6 +42,13 @@ def minimal_config(tmp_path, **overrides):
     return write_json(tmp_path / "config.json", doc)
 
 
+def readme_config():
+    """The README's example config file, as a dict."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1]
+    return section, json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
 def fast_slow_setup(tmp_path):
     """Config backed by a 1-location, 2-AP topology file and a CSV trace."""
     topo_path = tmp_path / "topology.json"
@@ -177,6 +184,38 @@ class TestValidateAndErrors:
         err = capsys.readouterr().err
         assert "config error: key 'traffic'" in err and "window 1" in err
 
+    @pytest.mark.parametrize("eta", ["auto", 0.1])
+    def test_steep_cost_runs(self, tmp_path, eta):
+        # alpha = 100 at rho0 = 0.99 puts the Lipschitz bound near 1e202, whose square
+        # overflows a float: the bound at eta = 0.1 is inf, the one at eta_star is not
+        _, doc = readme_config()
+        del doc["sweep"]
+        doc["traffic"]["horizon"] = 480
+        doc.update(cost={"alpha": 100.0, "rho0": 0.99}, eta=eta, solver={"max_iterations": 50})
+        config = write_json(tmp_path / "steep.json", doc)
+        assert main(["validate", "--config", config]) == 0
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "regret.json").read_text())
+        assert 0 < report["eta_star"] < 1e-200
+        assert math.isinf(report["bound_at_eta"]) == (eta == 0.1)
+
+    def test_tiny_demand_runs_with_auto_eta(self, tmp_path):
+        # a demand of 1e-170 gives a Lipschitz bound whose square underflows to 0
+        topo_path = tmp_path / "topology.json"
+        save_topology_json(Topology(service_rate=np.array([[1.0], [1.0]])), topo_path)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("".join(f"{t},1,1e-170\n" for t in range(1, 5)))
+        config = write_json(tmp_path / "tiny.json", {
+            "topology": {"source": "file", "path": str(topo_path)},
+            "traffic": {"source": "csv", "path": str(trace_path), "n_locations": 1},
+            "partition": {"zones": 2, "slots_per_zone": 2},
+            "cost": {"alpha": 0.0},
+        })
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 1e169 < manifest["resolved"]["eta"] < math.inf
+        assert manifest["resolved"]["eta_note"] is None
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -214,10 +253,8 @@ class TestValidateAndErrors:
             assert err.startswith(f"config error: key '{path}'") and err.count("key '") == 1, err
 
     def test_readme_config_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("### Config file", 1)[1]
-        example = section.split("```json\n", 1)[1].split("```", 1)[0]
-        config = parse_config(json.loads(example))
+        section, example = readme_config()
+        config = parse_config(example)
         assert config.sweep_lists == {"zones": [24, 12, 2], "rho0": [0.5, 1.0], "alpha": [0.0], "eta": [0.1]}
         # every key of the schema is listed in the README
         for name, table in SCHEMA.items():
@@ -369,6 +406,33 @@ class TestSweep:
         assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
         for name in files:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_pool_no_larger_than_share_groups(self, tmp_path, monkeypatch):
+        from assoclearn import cli
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        config = self.sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "two"), "--jobs", "500"]) == 0
+        assert sizes == [2]  # one worker per zones value; eta shares a group
+        assert len(self.read_rows(tmp_path / "two")) == 4
+        config = self.sweep_config(tmp_path, sweep={"eta": [0.2, 0.5]})
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "one"), "--jobs", "500"]) == 0
+        assert sizes == [2]  # a single group runs without a pool
 
     def test_inputs_built_and_benchmarks_solved_once(self, tmp_path, monkeypatch):
         from assoclearn import cli

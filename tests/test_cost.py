@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,13 @@ class TestCostParams:
         # a slope near the float limit that does not overflow is accepted
         params = CostParams(alpha=150.0, rho0=0.99)
         assert np.isfinite(lipschitz_bound(Topology(service_rate=np.ones((1, 1))), 1.0, params))
+
+    def test_threshold_slope_is_not_a_field(self):
+        a, b = CostParams(alpha=2.0, rho0=0.8, psi=3.0), CostParams(alpha=2.0, rho0=0.8, psi=3.0)
+        assert a.threshold_slope == (1.0 - 0.8) ** -2.0
+        assert a == b and hash(a) == hash(b)
+        assert [f.name for f in dataclasses.fields(a)] == ["alpha", "rho0", "psi"]
+        assert "threshold_slope" not in repr(a)
 
 
 class TestApLoad:

@@ -11,10 +11,8 @@ from assoclearn import (
     Topology,
     TrafficTrace,
     build_partition,
-    count_violations,
     penalized_cost,
     regret,
-    regret_from_costs,
     replay_benchmark,
     run_online,
     runlog_to_csv,
@@ -69,6 +67,24 @@ class TestTheoreticalBound:
         with pytest.raises(ValueError):
             theoretical_bound(1, 10, 1.0, -0.5, 1, 1, 1)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_lipschitz_square_outside_float_range(self, scale):
+        # L^2 underflows to 0 or overflows, but eta_star * L and the bound at
+        # eta_star over L do not depend on L
+        unit = theoretical_bound(24, 5760, 1.0, 1.0, 5, 2, 25)
+        report = theoretical_bound(24, 5760, scale, 1.0, 5, 2, 25)
+        assert report.eta_star * scale == pytest.approx(unit.eta_star, rel=1e-12)
+        assert report.universal / scale == pytest.approx(unit.universal, rel=1e-12)
+        at_star = theoretical_bound(24, 5760, scale, report.eta_star, 5, 2, 25)
+        at_unit_star = theoretical_bound(24, 5760, 1.0, unit.eta_star, 5, 2, 25)
+        assert at_star.general / scale == pytest.approx(at_unit_star.general, rel=1e-12)
+
+    def test_bound_beyond_float_range_is_inf(self):
+        assert theoretical_bound(24, 5760, 1e200, 0.1, 5, 2, 25).general == math.inf
+        # far below, the step term vanishes next to the first term
+        report = theoretical_bound(24, 5760, 1e-170, 0.1, 5, 2, 25)
+        assert report.general == pytest.approx(24 * 5 * math.log(2) / (0.1 * 2), rel=1e-12)
+
 
 class TestViolations:
     def test_no_violations(self):
@@ -89,13 +105,10 @@ class TestViolations:
             zones=np.array([1, 1]),
             rho0=0.5,
         )
-        assert count_violations(log) == (3, 2)
+        assert violation_counts(log.loads, log.rho0) == (3, 2)
 
 
 class TestRegret:
-    def test_direct_subtraction(self):
-        assert regret_from_costs(np.array([2.0, 2.0]), np.array([1.0, 1.0])) == 2.0
-
     def test_prefix_curve(self):
         curve = prefix_regret_per_slot(np.array([2.0, 2.0, 2.0]), np.array([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(curve, [1.0, 1.0, 1.0])

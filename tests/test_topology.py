@@ -57,8 +57,8 @@ class TestBuildTopology:
         )
         topo = build_topology(config, np.array([[0.0, 0.0]]))
         assert topo.n_aps == 1 and topo.n_locations == 1
-        assert list(topo.neighbors_of_location[0]) == [0]
-        assert list(topo.neighbors_of_ap[0]) == [0]
+        assert list(np.flatnonzero(topo.support[:, 0])) == [0]
+        assert list(np.flatnonzero(topo.support[0])) == [0]
 
     def test_equidistant_aps_both_kept(self):
         config = RadioConfig(
@@ -67,7 +67,7 @@ class TestBuildTopology:
             rate_threshold_bps=1.0,
         )
         topo = build_topology(config, np.array([[0.0, 0.0]]))
-        assert len(topo.neighbors_of_location[0]) == 2
+        assert np.flatnonzero(topo.support[:, 0]).size == 2
         np.testing.assert_allclose(topo.service_rate[0], topo.service_rate[1])
 
     def test_grid_against_brute_force(self):
@@ -138,7 +138,7 @@ class TestBuildTopology:
             rate_threshold_bps=1e30,  # would prune everything
         )
         topo = build_topology(config, np.array([[2.0, 0.0], [9.0, 0.0]]))
-        assert all(len(n) == 1 for n in topo.neighbors_of_location)
+        assert all(np.flatnonzero(topo.support[:, i]).size == 1 for i in range(topo.n_locations))
 
     def test_positions_must_be_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -162,12 +162,12 @@ class TestTopologyInvariants:
             topo = make_random_topology(
                 rng, int(rng.integers(1, 8)), int(rng.integers(1, 6))
             )
-            for i, aps in enumerate(topo.neighbors_of_location):
-                for j in aps:
-                    assert i in topo.neighbors_of_ap[j]
-            for j, locs in enumerate(topo.neighbors_of_ap):
-                for i in locs:
-                    assert j in topo.neighbors_of_location[i]
+            for i in range(topo.n_locations):
+                for j in np.flatnonzero(topo.support[:, i]):
+                    assert i in np.flatnonzero(topo.support[j])
+            for j in range(topo.n_aps):
+                for i in np.flatnonzero(topo.support[j]):
+                    assert j in np.flatnonzero(topo.support[:, i])
             assert (topo.service_rate > 0).all() == topo.support.all()
 
     def test_orphan_rejected(self):
@@ -186,8 +186,12 @@ class TestTopologyInvariants:
                 rng, int(rng.integers(1, 9)), int(rng.integers(1, 7))
             )
             m_loc, m_ap = max_degrees(topo)
-            assert m_loc == max(len(v) for v in topo.neighbors_of_ap)
-            assert m_ap == max(len(v) for v in topo.neighbors_of_location)
+            # links counted one by one, independently of the support mask
+            rate = topo.service_rate
+            per_ap = [sum(rate[j, i] > 0 for i in range(topo.n_locations)) for j in range(topo.n_aps)]
+            per_loc = [sum(rate[j, i] > 0 for j in range(topo.n_aps)) for i in range(topo.n_locations)]
+            assert m_loc == max(per_ap)
+            assert m_ap == max(per_loc)
             assert 1 <= m_loc <= topo.n_locations
             assert 1 <= m_ap <= topo.n_aps
 
@@ -207,7 +211,8 @@ class TestNeighborTable:
             topo = make_random_topology(rng, int(rng.integers(1, 12)), int(rng.integers(1, 7)))
             table = topo.neighbor_table
             assert table.shape == (max_degrees(topo)[1], topo.n_locations)
-            for i, aps in enumerate(topo.neighbors_of_location):
+            for i in range(topo.n_locations):
+                aps = np.flatnonzero(topo.support[:, i])
                 column = table[:, i]
                 np.testing.assert_array_equal(column[: aps.size], aps)
                 assert not topo.support[column[aps.size :], i].any()
@@ -221,8 +226,7 @@ class TestTopologyJson:
         save_topology_json(topo, path)
         loaded = load_topology_json(path)
         np.testing.assert_array_equal(loaded.service_rate, topo.service_rate)
-        for a, b in zip(loaded.neighbors_of_location, topo.neighbors_of_location):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.support, topo.support)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         doc = {"n_locations": 3, "n_aps": 2, "service_rate": [[1.0, 1.0], [1.0, 1.0]]}
