@@ -6,6 +6,9 @@ path loss and co-channel interference; weak links are pruned but every
 location keeps at least its strongest AP.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import assoclearn as al
@@ -35,7 +38,8 @@ for i in (0, 12, 24):
     print(f"location {i:2d}: {pairs}")
 
 # topologies serialize to a plain JSON document and reload identically
-al.save_topology_json(topology, "/tmp/demo_topology.json")
-reloaded = al.load_topology_json("/tmp/demo_topology.json")
+path = os.path.join(tempfile.gettempdir(), "demo_topology.json")
+al.save_topology_json(topology, path)
+reloaded = al.load_topology_json(path)
 assert np.array_equal(reloaded.service_rate, topology.service_rate)
-print("saved and reloaded from /tmp/demo_topology.json")
+print(f"saved and reloaded from {path}")

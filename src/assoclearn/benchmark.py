@@ -92,11 +92,11 @@ def solve_windows(
 ) -> BenchmarkSolution:
     """Minimize every window's aggregated objective from the uniform split.
 
-    demands is (n_windows, n_locations, window_length), window k's slots in
-    calendar order along the last axis. All windows advance in lock-step as
-    one policy stack, by the method of the module docstring, with first
-    steps 1/(window_length * L_k). Windows without demand are optimal at the
-    uniform split and take no step. Non-convergence within the iteration cap
+    demands is (n_windows, n_locations, window_length), as from
+    `TimePartition.by_window`. All windows advance in lock-step as one policy
+    stack, by the method of the module docstring, with first steps
+    1/(window_length * L_k). Windows without demand, or whose step bound is
+    too small to invert, keep the uniform split. Non-convergence within the iteration cap
     is not an error: the last iterate is returned with its gap and
     converged=False. A first step bound that overflows raises ValueError.
     """
@@ -116,15 +116,15 @@ def solve_windows(
             f"window {k + 1}: step bound {window_length} * L is not finite "
             f"(peak demand {peaks[k]}, L = {lipschitz[k]})"
         )
-    with np.errstate(divide="ignore"):
-        steps = 1.0 / bounds  # inf for a window without demand
+    with np.errstate(divide="ignore", over="ignore"):
+        steps = 1.0 / bounds  # inf for a window without demand or a subnormal bound
     iterations, gaps = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
     converged = np.ones(n_windows, dtype=bool)
     active = np.flatnonzero(np.isfinite(steps))
     current, step = pi[active], steps[active]
     log_pi = np.repeat((opening - log_norm)[None], active.size, axis=0)
     # Demands stay the caller's single copy until some window finishes: the
-    # loads product reads it as stored, the gradient through its transpose.
+    # loads product reads it as stored, the gradient through swapped axes.
     active_demands = demands if active.size == n_windows else demands[active]
     loads = (current * topology.inverse_rate) @ active_demands  # (n, n_aps, window_length)
     values = _objectives(loads, params)
@@ -175,15 +175,7 @@ def solve_periodic_static(
     solver: SolverConfig | None = None,
 ) -> BenchmarkSolution:
     """One optimal static policy per window of the partition."""
-    if partition.horizon != trace.horizon:
-        raise ValueError(
-            f"partition horizon {partition.horizon} != trace horizon {trace.horizon}"
-        )
-    periods, zones, width = partition.periods, partition.zones, partition.slots_per_zone
-    # (period, zone, slot, location) -> (zone, location, period, slot): window
-    # k's slots in calendar order, as `TimePartition.window(k)` lists them.
-    demands = trace.demand.reshape(periods, zones, width, -1).transpose(1, 3, 0, 2)
-    return solve_windows(topology, demands.reshape(zones, trace.n_locations, -1), params, solver)
+    return solve_windows(topology, partition.by_window(trace.demand), params, solver)
 
 
 def solve_static(

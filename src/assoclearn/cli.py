@@ -33,16 +33,15 @@ from .benchmark import (
     solve_periodic_static,
     solve_static,
 )
-from .cost import CostParams, lipschitz_bound
+from .cost import CostParams
 from .learner import LearnerConfig, run_online
-from .metrics import regret, runlog_to_csv, theoretical_bound
+from .metrics import peak_bound, regret, runlog_to_csv
 from .topology import (
     RadioConfig,
     Topology,
     build_topology,
     grid_positions,
     load_topology_json,
-    max_degrees,
     save_topology_json,
 )
 from .traffic import (
@@ -288,14 +287,25 @@ def resolve_eta(
     """Turn an 'auto' step size into the bound-minimizing value."""
     if config_eta != "auto":
         return float(config_eta), None
-    lipschitz = lipschitz_bound(topology, trace.max_intensity, params)
-    m_loc, m_ap = max_degrees(topology)
-    bound = theoretical_bound(
-        zones, trace.horizon, lipschitz, 1.0, m_loc, m_ap, topology.n_locations
-    )
-    if bound.eta_star is None or bound.eta_star == 0.0:
-        return 1.0, bound.note or "degenerate"
+    _, bound = peak_bound(topology, trace, zones, params)
+    if bound.eta_star is None or not 0.0 < bound.eta_star < math.inf:
+        return 1.0, bound.note or "eta_star_out_of_range"
     return bound.eta_star, None
+
+
+def _finite(value):
+    """value with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    """Standard JSON: a non-finite float, such as an overflowed bound, is written as null."""
+    path.write_text(json.dumps(_finite(payload), sort_keys=True, indent=1, allow_nan=False) + "\n")
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -360,24 +370,19 @@ def run_experiment(
         online_loads=run.log.loads,
     )
 
-    written = []
-
-    def _write_json(name: str, payload: dict):
-        path = out / name
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        written.append(path)
-
     runlog_path = out / "runlog.csv"
     runlog_to_csv(run.log, runlog_path)
-    written.append(runlog_path)
-    _write_json("regret.json", report.to_dict())
-    _write_json("benchmark.json", benchmark.to_dict())
+    written = [
+        runlog_path,
+        _write_json(out / "regret.json", report.to_dict()),
+        _write_json(out / "benchmark.json", benchmark.to_dict()),
+    ]
     if config.benchmark_static:
         static = _solve(solved, ("static",) + common, solve_static, topology, trace, *common)
-        _write_json("benchmark_static.json", static.to_dict())
+        written.append(_write_json(out / "benchmark_static.json", static.to_dict()))
     if config.benchmark_dynamic:
         dynamic = _solve(solved, ("dynamic",) + common, solve_dynamic, topology, trace, *common)
-        _write_json("benchmark_dynamic.json", dynamic.to_dict())
+        written.append(_write_json(out / "benchmark_dynamic.json", dynamic.to_dict()))
 
     manifest = {
         "package_version": __version__,
@@ -406,9 +411,7 @@ def run_experiment(
             {"path": p.name, "sha256": _sha256(p)} for p in sorted(written)
         ],
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-    )
+    _write_json(out / "manifest.json", manifest)
     return manifest
 
 

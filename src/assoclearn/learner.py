@@ -137,7 +137,7 @@ def run_online(
     loads are logged, and the gradient at the played policy is stored for
     the thread's next slot.
 
-    With the demand reshaped to (period, zone, slot, location), rank
+    With the demand in `TimePartition.calendar` layout, rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
     therefore runs over the periods * slots_per_zone ranks and advances
     blocks of at most STACK_ENTRIES / (M * n_locations) threads (at least
@@ -147,10 +147,6 @@ def run_online(
     matches a slot-by-slot dense replay bit for bit. A block's support
     losses are its link count minus its final policies' nonzero count.
     """
-    if partition.horizon != trace.horizon:
-        raise ValueError(
-            f"partition horizon {partition.horizon} != trace horizon {trace.horizon}"
-        )
     if trace.n_locations != topology.n_locations:
         raise ValueError("trace and topology disagree on the number of locations")
 
@@ -160,7 +156,7 @@ def run_online(
     inverse_rate = np.take_along_axis(topology.inverse_rate, table, axis=0)
     # flat position of each compact entry in one thread's dense (n_aps, n_locations) policy
     offsets = table * n_locations + np.arange(n_locations)
-    demand = trace.demand.reshape(periods, n_zones, width, n_locations)
+    demand = partition.calendar(trace.demand)
     loads = np.empty((periods, n_zones, width, n_aps))
     kept = np.empty((periods, n_zones, width, n_aps, n_locations)) if config.keep_policies else None
     zone_pi = np.zeros((n_zones, n_aps, n_locations))

@@ -86,6 +86,15 @@ def theoretical_bound(
     return BoundReport(general, universal, eta_star)
 
 
+def peak_bound(
+    topology: Topology, trace: TrafficTrace, zones: int, params: CostParams, eta: float = 1.0
+) -> tuple[float, BoundReport]:
+    """The Lipschitz bound at the trace's peak demand and the regret bound it gives at eta."""
+    lipschitz = lipschitz_bound(topology, trace.max_intensity, params)
+    counts = (*max_degrees(topology), topology.n_locations)
+    return lipschitz, theoretical_bound(zones, trace.horizon, lipschitz, eta, *counts)
+
+
 def violation_counts(loads: np.ndarray, rho0: float) -> tuple[int, int]:
     """(slot-AP pairs with load > rho0, slots with at least one such AP)."""
     flags = np.asarray(loads) > rho0
@@ -102,19 +111,10 @@ def replay_benchmark(
     """Per-slot penalized costs and loads of the benchmark policies in slot order."""
     if benchmark.zones != partition.zones:
         raise ValueError("benchmark zone count does not match the partition")
-    if partition.horizon != trace.horizon:
-        raise ValueError("partition horizon does not match the trace")
-    periods, zones, width = partition.periods, partition.zones, partition.slots_per_zone
-    # (period, zone, slot, location) -> (zone, location, period * slot), as in
-    # `solve_periodic_static`; loads come back as (zone, AP, period, slot)
-    demands = trace.demand.reshape(periods, zones, width, -1).transpose(1, 3, 0, 2)
     policies = np.asarray(benchmark.zone_policies) * topology.inverse_rate
-    window_loads = (policies @ demands.reshape(zones, trace.n_locations, -1)).reshape(
-        zones, topology.n_aps, periods, width
-    )
-    costs = penalized_values(window_loads, params).sum(axis=1).transpose(1, 0, 2).reshape(-1)
-    loads = window_loads.transpose(2, 0, 3, 1).reshape(trace.horizon, topology.n_aps)
-    return costs, loads
+    window_loads = policies @ partition.by_window(trace.demand)  # (zone, AP, rank)
+    costs = penalized_values(window_loads, params).sum(axis=1)
+    return partition.by_slot(costs), partition.by_slot(window_loads)
 
 
 def prefix_regret_per_slot(
@@ -180,18 +180,12 @@ def regret(
     total_bench = float(bench_costs.sum())
     curve = prefix_regret_per_slot(online_costs, bench_costs)
 
-    used_l = lipschitz_bound(topology, trace.max_intensity, params)
-    m_loc, m_ap = max_degrees(topology)
-    probe_eta = eta if eta is not None else 1.0
-    bound = theoretical_bound(
-        partition.zones,
-        trace.horizon,
-        used_l,
-        probe_eta,
-        m_loc,
-        m_ap,
-        topology.n_locations,
-    )
+    probe_eta = 1.0 if eta is None else eta
+    used_l, bound = peak_bound(topology, trace, partition.zones, params, probe_eta)
+    bound_at_eta = bound.general if eta is not None else None
+    note = bound.note
+    if not np.isfinite([bound_at_eta or 0.0, bound.universal, bound.eta_star or 0.0]).all():
+        note = "; ".join(filter(None, (note, "a bound or eta_star overflows to inf, null in JSON")))
 
     online_violations = raw_regret = None
     if online_loads is not None:
@@ -201,20 +195,19 @@ def regret(
             raw_regret = float(alpha_cost(online_loads, params) - alpha_cost(bench_loads, params))
 
     regret_value = total_online - total_bench
-    by_zone = (online_costs - bench_costs).reshape(partition.periods, partition.zones, -1)
     return RegretReport(
         total_online_cost=total_online,
         total_benchmark_cost=total_bench,
         regret=regret_value,
         regret_upper=regret_value + sum(d.gap for d in benchmark.diagnostics),
-        zone_regret=by_zone.sum(axis=(0, 2)).tolist(),
+        zone_regret=partition.calendar(online_costs - bench_costs).sum(axis=(0, 2)).tolist(),
         prefix_regret=curve,
         lipschitz_used=float(used_l),
         eta_used=eta,
         eta_star=bound.eta_star,
-        bound_at_eta=bound.general if eta is not None else None,
+        bound_at_eta=bound_at_eta,
         bound_universal=bound.universal,
-        bound_note=bound.note,
+        bound_note=note,
         violations_online=online_violations,
         violations_benchmark=violation_counts(bench_loads, params.rho0),
         raw_cost_regret=raw_regret,

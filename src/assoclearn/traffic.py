@@ -61,16 +61,32 @@ class TimePartition:
     def horizon(self) -> int:
         return self.periods * self.zones * self.slots_per_zone
 
+    def calendar(self, series: np.ndarray) -> np.ndarray:
+        """The (horizon, ...) series viewed as (periods, zones, slots_per_zone, ...)."""
+        series = np.asarray(series)
+        if series.shape[0] != self.horizon:
+            raise ValueError(f"partition horizon {self.horizon} != series length {series.shape[0]}")
+        return series.reshape(self.periods, self.zones, self.slots_per_zone, *series.shape[1:])
+
+    def by_window(self, series: np.ndarray) -> np.ndarray:
+        """(zones, ..., periods * slots_per_zone): window k's values in calendar order last."""
+        stack = np.moveaxis(self.calendar(series), (0, 2), (-2, -1))
+        return stack.reshape(*stack.shape[:-2], -1)
+
+    def by_slot(self, stack: np.ndarray) -> np.ndarray:
+        """Inverse of `by_window`: back to (horizon, ...) in slot order."""
+        stack = np.asarray(stack)
+        split = stack.reshape(*stack.shape[:-1], self.periods, self.slots_per_zone)
+        return np.moveaxis(split, (-2, -1), (0, 2)).reshape(self.horizon, *stack.shape[1:-1])
+
     def window(self, k: int) -> np.ndarray:
         """Ordered 1-based slots of zone k across all periods."""
         if not 1 <= k <= self.zones:
             raise IndexError(f"zone {k} outside 1..{self.zones}")
-        kz = self.zones * self.slots_per_zone
-        starts = kz * np.arange(self.periods) + self.slots_per_zone * (k - 1)
-        return (starts[:, None] + np.arange(1, self.slots_per_zone + 1)[None, :]).ravel()
+        return self.windows()[k - 1]
 
     def windows(self) -> list[np.ndarray]:
-        return [self.window(k) for k in range(1, self.zones + 1)]
+        return list(self.by_window(np.arange(1, self.horizon + 1)))
 
 
 def build_partition(horizon: int, zones: int, slots_per_zone: int) -> TimePartition:

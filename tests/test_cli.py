@@ -49,6 +49,18 @@ def readme_config():
     return section, json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
+def strict_json_outputs(out_dir):
+    """Every JSON file in out_dir, parsed as standard JSON (no NaN or Infinity)."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return {
+        path.name: json.loads(path.read_text(), parse_constant=reject)
+        for path in sorted(Path(out_dir).glob("*.json"))
+    }
+
+
 def fast_slow_setup(tmp_path):
     """Config backed by a 1-location, 2-AP topology file and a CSV trace."""
     topo_path = tmp_path / "topology.json"
@@ -195,9 +207,34 @@ class TestValidateAndErrors:
         config = write_json(tmp_path / "steep.json", doc)
         assert main(["validate", "--config", config]) == 0
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
-        report = json.loads((tmp_path / "out" / "regret.json").read_text())
+        outputs = strict_json_outputs(tmp_path / "out")
+        report, manifest = outputs["regret.json"], outputs["manifest.json"]
         assert 0 < report["eta_star"] < 1e-200
-        assert math.isinf(report["bound_at_eta"]) == (eta == 0.1)
+        # the bound at eta = 0.1 is inf, which standard JSON writes as null
+        assert (report["bound_at_eta"] is None) == (eta == 0.1)
+        assert manifest["summary"]["bound_at_eta"] == report["bound_at_eta"]
+        assert ("overflows" in (report["bound_note"] or "")) == (eta == 0.1)
+
+    @pytest.mark.parametrize("eta", ["auto", 0.1])
+    def test_subnormal_demand_runs(self, tmp_path, eta):
+        # a peak of 1e-320 makes eta_star = sqrt(...) / L overflow to inf;
+        # "auto" then falls back to 1.0 with a note
+        _, doc = readme_config()
+        del doc["sweep"]
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(
+            "".join(f"{t},{i},1e-320\n" for t in range(1, 481) for i in range(1, 26))
+        )
+        doc.update(eta=eta, traffic={"source": "csv", "path": str(trace_path), "n_locations": 25})
+        config = write_json(tmp_path / "subnormal.json", doc)
+        assert main(["validate", "--config", config]) == 0
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        outputs = strict_json_outputs(tmp_path / "out")
+        resolved = outputs["manifest.json"]["resolved"]
+        assert resolved["eta"] == (1.0 if eta == "auto" else 0.1)
+        assert (resolved["eta_note"] is not None) == (eta == "auto")
+        assert outputs["regret.json"]["eta_star"] is None
+        assert "overflows" in outputs["regret.json"]["bound_note"]
 
     def test_tiny_demand_runs_with_auto_eta(self, tmp_path):
         # a demand of 1e-170 gives a Lipschitz bound whose square underflows to 0

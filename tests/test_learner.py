@@ -14,10 +14,12 @@ from assoclearn import (
     mirror_map,
     penalized_cost_from_loads,
     run_online,
+    solve_periodic_static,
     validate_policy,
 )
 from assoclearn.cost import grad_from_loads, load_slope
 from assoclearn.learner import STACK_ENTRIES, UNDERFLOW
+from assoclearn.metrics import replay_benchmark
 from conftest import make_random_policy, make_random_topology
 
 
@@ -279,12 +281,23 @@ class TestRunOnline:
             validate_policy(pi, topo)
             assert ((pi > 0) == topo.support).all()
 
-    def test_horizon_mismatch_rejected(self, rng):
+    @pytest.mark.parametrize("stage", ["run_online", "solve_periodic_static", "replay_benchmark"])
+    def test_horizon_mismatch_rejected(self, rng, stage):
+        # every stage reads the trace through the partition's calendar
         topo = make_random_topology(rng, 2, 2)
         trace = toy_trace(rng.uniform(0, 1, (6, 2)))
         partition = build_partition(8, 2, 2)
-        with pytest.raises(ValueError):
-            run_online(topo, trace, partition, CostParams(alpha=0), LearnerConfig(eta=0.1))
+        params = CostParams(alpha=0)
+        fitted = toy_trace(rng.uniform(0, 1, (8, 2)))
+        calls = {
+            "run_online": lambda: run_online(topo, trace, partition, params, LearnerConfig(eta=0.1)),
+            "solve_periodic_static": lambda: solve_periodic_static(topo, trace, partition, params),
+            "replay_benchmark": lambda: replay_benchmark(
+                solve_periodic_static(topo, fitted, partition, params), trace, partition, topo, params
+            ),
+        }
+        with pytest.raises(ValueError, match="partition horizon 8 != series length 6"):
+            calls[stage]()
 
     def test_lockstep_blocks_match_per_slot_loop(self, rng):
         # n_aps * n_locations = 18,000 > 2**16 / 4 zones: threads advance in

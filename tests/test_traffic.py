@@ -57,6 +57,38 @@ class TestPartition:
                 assert list(part.window(zone)) == expected
 
 
+class TestCalendar:
+    # static (one window), periodic, and dynamic (one slot per window)
+    CALENDARS = [(12, 1, 12), (12, 2, 3), (12, 12, 1)]
+
+    @pytest.mark.parametrize("horizon, zones, width", CALENDARS)
+    @pytest.mark.parametrize("tail", [(), (3,), (3, 4)])
+    def test_by_slot_inverts_by_window(self, rng, horizon, zones, width, tail):
+        part = build_partition(horizon, zones, width)
+        x = rng.standard_normal((horizon, *tail))
+        stack = part.by_window(x)
+        assert stack.shape == (zones, *tail, horizon // zones)
+        np.testing.assert_array_equal(part.by_slot(stack), x)
+
+    @pytest.mark.parametrize("horizon, zones, width", CALENDARS)
+    def test_by_window_follows_window_slots(self, rng, horizon, zones, width):
+        part = build_partition(horizon, zones, width)
+        x = rng.standard_normal((horizon, 2))
+        stack = part.by_window(x)
+        for k in range(1, zones + 1):
+            np.testing.assert_array_equal(stack[k - 1], x[part.window(k) - 1].T)
+
+    def test_calendar_is_a_view_indexed_by_period_zone_slot(self):
+        part = build_partition(18, 2, 3)
+        series = np.arange(1, 19)
+        cal = part.calendar(series)
+        assert cal.shape == (3, 2, 3)
+        assert np.shares_memory(cal, series)
+        assert cal[1, 0, 2] == 9  # period 2, zone 1, third slot
+        with pytest.raises(ValueError, match="partition horizon 18 != series length 17"):
+            part.calendar(series[:-1])
+
+
 class TestSynthetic:
     def test_flat_noiseless_is_constant(self):
         profile = SyntheticProfile(slots_per_day=8, shape="flat", sigma=0.0)
