@@ -1,7 +1,9 @@
 """Config-driven experiments: the programmatic twin of the command line.
 
 Everything the `assoclearn` CLI does is a thin wrapper over
-`parse_config`, `run_experiment`, and `run_sweep`. Outputs are pure
+`parse_config`, `evaluate`, `run_experiment`, and `run_sweep`.
+`evaluate` returns the online run, the benchmarks and the regret report
+without writing a file; `run_experiment` writes them. Outputs are pure
 functions of config plus seed, and the manifest records a content hash
 for every file written.
 
@@ -17,7 +19,14 @@ import json
 import tempfile
 from pathlib import Path
 
-from assoclearn.cli import parse_config, run_experiment, run_sweep
+from assoclearn.cli import (
+    build_experiment_topology,
+    build_experiment_trace,
+    evaluate,
+    parse_config,
+    run_experiment,
+    run_sweep,
+)
 
 config_doc = {
     "seed": 2024,
@@ -45,10 +54,21 @@ config_doc = {
 workdir = Path(tempfile.mkdtemp(prefix="assoclearn_demo_"))
 
 config = parse_config(config_doc)
-manifest = run_experiment(config, workdir / "single", raw_config=config_doc)
-print(f"single run in {workdir / 'single'}")
-print(f"  auto-resolved eta = {manifest['resolved']['eta']:.5f}")
-print(f"  regret = {manifest['summary']['regret']:.4f}")
+topology = build_experiment_topology(config)
+trace = build_experiment_trace(config, topology)
+solved = {}  # hindsight solutions, shared by every call that passes this dict
+evaluation = evaluate(config, topology, trace, solved)
+print("single run, in memory:")
+print(f"  auto-resolved eta = {evaluation.report.eta_used:.5f}")
+print(f"  regret = {evaluation.report.regret:.4f}")
+print(f"  benchmarks = {sorted(evaluation.benchmarks)}")
+
+# the same run written to disk; the periodic benchmark is not solved again
+run_experiment(
+    config, workdir / "single", raw_config=config_doc, inputs=(topology, trace), solved=solved
+)
+manifest = json.loads((workdir / "single" / "manifest.json").read_text())
+print(f"single run written to {workdir / 'single'}")
 for entry in manifest["outputs"]:
     print(f"  wrote {entry['path']} (sha256 {entry['sha256'][:12]}...)")
 

@@ -3,9 +3,12 @@
 A single JSON document describes one experiment: where the topology and
 the demand trace come from, the zone calendar, cost parameters, the step
 size (a number or "auto" for the bound-minimizing value), and optional
-sweep lists. Outputs are deterministic functions of config plus seed:
-per-slot run log as CSV, regret report and benchmark solution as JSON,
-and a manifest listing every written file with its content hash.
+sweep lists. `evaluate` turns a config and its inputs into the online
+run, the benchmarks and the regret report in memory; `run_experiment`
+writes them and `run_sweep` writes one per combination. Outputs are
+deterministic functions of config plus seed: per-slot run log as CSV,
+regret report and benchmark solution as JSON, and a manifest listing
+every written file with its content hash.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -21,21 +24,21 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .benchmark import (
-    BenchmarkSolution,
     SolverConfig,
     solve_dynamic,
     solve_periodic_static,
     solve_static,
 )
 from .cost import CostParams
-from .learner import LearnerConfig, run_online
-from .metrics import peak_bound, regret, runlog_to_csv
+from .learner import LearnerConfig, OnlineRun, run_online
+from .metrics import RegretReport, peak_bound, regret, runlog_to_csv
 from .topology import (
     RadioConfig,
     Topology,
@@ -247,8 +250,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path, seed_override: int | None = None) -> tuple[ExperimentConfig, dict]:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if seed_override is not None and isinstance(doc, dict):
         doc = {**doc, "seed": seed_override}
@@ -281,18 +284,6 @@ def build_experiment_trace(config: ExperimentConfig, topology: Topology):
     return trace
 
 
-def resolve_eta(
-    config_eta, topology: Topology, trace, zones: int, params: CostParams
-) -> tuple[float, str | None]:
-    """Turn an 'auto' step size into the bound-minimizing value."""
-    if config_eta != "auto":
-        return float(config_eta), None
-    _, bound = peak_bound(topology, trace, zones, params)
-    if bound.eta_star is None or not 0.0 < bound.eta_star < math.inf:
-        return 1.0, bound.note or "eta_star_out_of_range"
-    return bound.eta_star, None
-
-
 def _finite(value):
     """value with every non-finite float replaced by None, which JSON writes as null."""
     if isinstance(value, dict):
@@ -308,18 +299,67 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+@dataclass
+class Evaluation:
+    """One configuration evaluated in memory: everything `run` writes, unwritten."""
+
+    run: OnlineRun
+    report: RegretReport  # report.eta_used is the step size the learner took
+    eta_note: str | None  # why "auto" fell back to 1.0, None otherwise
+    benchmarks: dict  # output file stem -> BenchmarkSolution; "benchmark" is the periodic one
 
 
-def _solve(solved: dict, key: tuple, solve, *args) -> BenchmarkSolution:
-    """The hindsight solution kept under key, solved on first use."""
-    if key not in solved:
-        try:
-            solved[key] = solve(*args)
-        except ValueError as exc:
-            raise ConfigError(f"key 'traffic': {exc}") from None
-    return solved[key]
+def evaluate(
+    config: ExperimentConfig, topology: Topology, trace: TrafficTrace, solved: dict | None = None
+) -> Evaluation:
+    """Solve the benchmarks the config asks for, learn online and compute regret; write nothing.
+
+    Hindsight solutions are kept in `solved` under a key of everything they
+    depend on (never eta), so calls that pass one dict and have equal keys
+    share one solve. An eta of "auto" becomes the bound-minimizing step, or
+    1.0 with a note when that step is not positive and finite.
+    """
+    try:
+        partition = build_partition(trace.horizon, config.zones, config.slots_per_zone)
+    except ValueError as exc:
+        raise ConfigError(f"key 'partition': {exc}") from None
+
+    solved = {} if solved is None else solved
+    common = (config.cost, config.solver)
+    wanted = {"benchmark": (solve_periodic_static, partition)}
+    if config.benchmark_static:
+        wanted["benchmark_static"] = (solve_static,)
+    if config.benchmark_dynamic:
+        wanted["benchmark_dynamic"] = (solve_dynamic,)
+    benchmarks = {}
+    for name, (solve, *extra) in wanted.items():
+        key = (name, *extra, *common)
+        if key not in solved:
+            try:
+                solved[key] = solve(topology, trace, *extra, *common)
+            except ValueError as exc:
+                raise ConfigError(f"key 'traffic': {exc}") from None
+        benchmarks[name] = solved[key]
+
+    eta, eta_note = config.eta, None
+    if eta == "auto":
+        _, bound = peak_bound(topology, trace, config.zones, config.cost)
+        eta = bound.eta_star
+        if eta is None or not 0.0 < eta < math.inf:
+            eta, eta_note = 1.0, bound.note or "eta_star_out_of_range"
+    eta = float(eta)
+    run = run_online(topology, trace, partition, config.cost, LearnerConfig(eta=eta))
+    report = regret(
+        run.log.costs,
+        benchmarks["benchmark"],
+        trace,
+        partition,
+        topology,
+        config.cost,
+        eta=eta,
+        online_loads=run.log.loads,
+    )
+    return Evaluation(run=run, report=report, eta_note=eta_note, benchmarks=benchmarks)
 
 
 def run_experiment(
@@ -328,61 +368,25 @@ def run_experiment(
     raw_config: dict | None = None,
     inputs: tuple[Topology, TrafficTrace] | None = None,
     solved: dict | None = None,
-) -> dict:
-    """Execute one configuration and write its artifacts into out_dir.
+) -> Evaluation:
+    """`evaluate` one configuration, then write its artifacts into out_dir.
 
     A sweep passes the (topology, trace) it built once as inputs, and one
-    `solved` dict for all its combinations: hindsight solutions are kept
-    there under a key of everything they depend on (never eta), so
-    combinations with equal keys share one solve. Returns the manifest
-    dictionary (also written as manifest.json).
+    `solved` dict for all its combinations (see `evaluate`). out_dir is made
+    only once the evaluation succeeds; manifest.json hashes every other file.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if inputs is None:
         topology = build_experiment_topology(config)
         inputs = topology, build_experiment_trace(config, topology)
-    topology, trace = inputs
-    try:
-        partition = build_partition(trace.horizon, config.zones, config.slots_per_zone)
-    except ValueError as exc:
-        raise ConfigError(f"key 'partition': {exc}") from None
+    evaluation = evaluate(config, *inputs, solved)
+    report = evaluation.report
 
-    solved = {} if solved is None else solved
-    common = (config.cost, config.solver)
-    benchmark = _solve(
-        solved, (config.zones, config.slots_per_zone) + common,
-        solve_periodic_static, topology, trace, partition, *common,
-    )
-    eta, eta_note = resolve_eta(config.eta, topology, trace, config.zones, config.cost)
-    run = run_online(
-        topology, trace, partition, config.cost, LearnerConfig(eta=eta)
-    )
-    report = regret(
-        run.log.costs,
-        benchmark,
-        trace,
-        partition,
-        topology,
-        config.cost,
-        eta=eta,
-        online_loads=run.log.loads,
-    )
-
-    runlog_path = out / "runlog.csv"
-    runlog_to_csv(run.log, runlog_path)
-    written = [
-        runlog_path,
-        _write_json(out / "regret.json", report.to_dict()),
-        _write_json(out / "benchmark.json", benchmark.to_dict()),
-    ]
-    if config.benchmark_static:
-        static = _solve(solved, ("static",) + common, solve_static, topology, trace, *common)
-        written.append(_write_json(out / "benchmark_static.json", static.to_dict()))
-    if config.benchmark_dynamic:
-        dynamic = _solve(solved, ("dynamic",) + common, solve_dynamic, topology, trace, *common)
-        written.append(_write_json(out / "benchmark_dynamic.json", dynamic.to_dict()))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    runlog_to_csv(evaluation.run.log, out / "runlog.csv")
+    written = [out / "runlog.csv", _write_json(out / "regret.json", report.to_dict())]
+    for name, solution in evaluation.benchmarks.items():
+        written.append(_write_json(out / f"{name}.json", solution.to_dict()))
 
     manifest = {
         "package_version": __version__,
@@ -394,9 +398,9 @@ def run_experiment(
             "alpha": config.cost.alpha,
             "rho0": config.cost.rho0,
             "psi": config.cost.psi,
-            "eta": eta,
-            "eta_note": eta_note,
-            "horizon": trace.horizon,
+            "eta": report.eta_used,
+            "eta_note": evaluation.eta_note,
+            "horizon": inputs[1].horizon,
         },
         "summary": {
             "total_online_cost": report.total_online_cost,
@@ -405,14 +409,15 @@ def run_experiment(
             "bound_at_eta": report.bound_at_eta,
             "violations_online": list(report.violations_online),
             "violations_benchmark": list(report.violations_benchmark),
-            "benchmark_converged": benchmark.all_converged,
+            "benchmark_converged": evaluation.benchmarks["benchmark"].all_converged,
         },
         "outputs": [
-            {"path": p.name, "sha256": _sha256(p)} for p in sorted(written)
+            {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in sorted(written)
         ],
     }
     _write_json(out / "manifest.json", manifest)
-    return manifest
+    return evaluation
 
 
 SWEEP_COLUMNS = [
@@ -430,125 +435,66 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_combos(config: ExperimentConfig) -> list[dict]:
+def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, combos: list) -> list[list]:
+    """sweep.csv rows of combinations run in order on shared inputs and one store of solves."""
     period = config.zones * config.slots_per_zone
-    lists = config.sweep_lists
-    zones_list = lists.get("zones", [config.zones])
-    rho0_list = lists.get("rho0", [config.cost.rho0])
-    alpha_list = lists.get("alpha", [config.cost.alpha])
-    eta_list = lists.get("eta", [config.eta])
-    combos = []
-    for zones, rho0, alpha, eta in itertools.product(
-        zones_list, rho0_list, alpha_list, eta_list
-    ):
-        combos.append(
-            {"zones": zones, "slots_per_zone": period // zones, "rho0": rho0,
-             "alpha": alpha, "eta": eta}
-        )
-    return combos
-
-
-def _combo_config(config: ExperimentConfig, combo: dict) -> ExperimentConfig:
-    try:
-        cost = replace(config.cost, alpha=float(combo["alpha"]), rho0=float(combo["rho0"]))
-    except ValueError as exc:
-        raise ConfigError(f"key 'sweep': {exc}") from None
-    return replace(
-        config,
-        zones=int(combo["zones"]),
-        slots_per_zone=int(combo["slots_per_zone"]),
-        cost=cost,
-        eta=combo["eta"],
-        sweep_lists={},
-    )
-
-
-def _combo_dirname(combo: dict) -> str:
-    return "K{zones}_rho{rho0}_alpha{alpha}_eta{eta}".format(**combo)
-
-
-def _run_combos(args: tuple) -> list[tuple[dict, dict | None, str | None]]:
-    """Run combinations in order on shared inputs and one store of solves."""
-    config, inputs, combos, out_dir = args
     solved = {}
-    results = []
-    for combo in combos:
+    rows = []
+    for zones, rho0, alpha, eta in combos:
         try:
-            sub = _combo_config(config, combo)
-            out = Path(out_dir) / _combo_dirname(combo)
-            results.append((combo, run_experiment(sub, out, inputs=inputs, solved=solved), None))
+            cost = replace(config.cost, alpha=float(alpha), rho0=float(rho0))
+            sub = replace(config, zones=zones, slots_per_zone=period // zones, cost=cost, eta=eta)
+            out = out_dir / f"K{zones}_rho{rho0}_alpha{alpha}_eta{eta}"
+            report = run_experiment(sub, out, inputs=inputs, solved=solved).report
         except Exception as exc:  # recorded per row; the sweep keeps going
-            results.append((combo, None, f"{type(exc).__name__}: {exc}"))
-    return results
-
-
-def _share_key(config: ExperimentConfig, combo: dict) -> str:
-    """Combinations that may share a solve: every benchmark key holds the
-    cost, and the periodic one the zones too. A group runs in one worker
-    and keeps its solves until its last combination is done."""
-    names = ["alpha", "rho0"]
-    if not (config.benchmark_static or config.benchmark_dynamic):
-        names.append("zones")
-    return repr([combo[name] for name in names])
+            rows.append([zones, rho0, alpha, eta, "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
+            continue
+        numbers = report.total_online_cost, report.total_benchmark_cost, report.regret, report.bound_at_eta
+        violations = report.violations_online[0], report.violations_benchmark[0]
+        rows.append([zones, rho0, alpha, report.eta_used, *map(repr, numbers), *violations, ""])
+    return rows
 
 
 def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """All sweep combinations; one consolidated CSV plus per-combo artifacts.
 
     The topology and trace are built once, before any combination runs, so
-    an error in them ends the sweep. Combinations that could share a
-    hindsight solve run as one group, so each distinct benchmark is solved
-    once, also with jobs > 1.
+    an error in them ends the sweep. Every benchmark depends on the cost,
+    and the periodic one on the zones too; combinations that could share a
+    solve run as one group in one worker, so each distinct benchmark is
+    solved once, also with jobs > 1.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    combos = _sweep_combos(config)
+    lists = config.sweep_lists
+    combos = list(
+        itertools.product(
+            lists.get("zones", [config.zones]),
+            lists.get("rho0", [config.cost.rho0]),
+            lists.get("alpha", [config.cost.alpha]),
+            lists.get("eta", [config.eta]),
+        )
+    )
     topology = build_experiment_topology(config)
-    inputs = topology, build_experiment_trace(config, topology)
+    run_group = partial(_run_group, config, (topology, build_experiment_trace(config, topology)), out)
+    by_zones = not (config.benchmark_static or config.benchmark_dynamic)
     groups = {}
-    for index, combo in enumerate(combos):
-        groups.setdefault(_share_key(config, combo), []).append(index)
-    tasks = [(config, inputs, [combos[i] for i in group], str(out)) for group in groups.values()]
+    for index, (zones, rho0, alpha, _) in enumerate(combos):
+        groups.setdefault((rho0, alpha, zones if by_zones else None), []).append(index)
+    tasks = [[combos[i] for i in group] for group in groups.values()]
     workers = min(jobs, len(tasks))  # the pool starts all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_combos, tasks))
+            done = list(pool.map(run_group, tasks))
     else:
-        done = [_run_combos(task) for task in tasks]
-    by_index = dict(zip(itertools.chain(*groups.values()), itertools.chain(*done)))
-    results = [by_index[i] for i in range(len(combos))]
-
-    rows = []
-    for combo, manifest, error in results:
-        if error is None:
-            summary = manifest["summary"]
-            resolved = manifest["resolved"]
-            rows.append(
-                [
-                    combo["zones"],
-                    combo["rho0"],
-                    combo["alpha"],
-                    resolved["eta"],
-                    repr(summary["total_online_cost"]),
-                    repr(summary["total_benchmark_cost"]),
-                    repr(summary["regret"]),
-                    repr(summary["bound_at_eta"]),
-                    summary["violations_online"][0],
-                    summary["violations_benchmark"][0],
-                    "",
-                ]
-            )
-        else:
-            rows.append(
-                [combo["zones"], combo["rho0"], combo["alpha"], combo["eta"],
-                 "", "", "", "", "", "", error]
-            )
+        done = list(map(run_group, tasks))
+    rows = dict(zip(itertools.chain(*groups.values()), itertools.chain(*done)))
 
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+        writer.writerows(rows[i] for i in range(len(combos)))
     return csv_path
 
 
@@ -559,23 +505,18 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_help):
+    def add_command(name, summary, out_help):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=None, help="seed override")
+        return p
 
-    p_run = sub.add_parser("run", help="execute one experiment")
-    add_common(p_run, "output directory")
-
-    p_sweep = sub.add_parser("sweep", help="run every sweep combination")
-    add_common(p_sweep, "output directory")
+    add_command("run", "execute one experiment", "output directory")
+    p_sweep = add_command("sweep", "run every sweep combination", "output directory")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel combinations")
-
-    p_topo = sub.add_parser("gen-topology", help="write the generated topology JSON")
-    add_common(p_topo, "output file")
-
-    p_trace = sub.add_parser("gen-trace", help="write the synthetic trace CSV")
-    add_common(p_trace, "output file")
+    add_command("gen-topology", "write the generated topology JSON", "output file")
+    add_command("gen-trace", "write the synthetic trace CSV", "output file")
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("--config", required=True)

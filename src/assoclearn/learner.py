@@ -157,8 +157,10 @@ def run_online(
     # flat position of each compact entry in one thread's dense (n_aps, n_locations) policy
     offsets = table * n_locations + np.arange(n_locations)
     demand = partition.calendar(trace.demand)
-    loads = np.empty((periods, n_zones, width, n_aps))
-    kept = np.empty((periods, n_zones, width, n_aps, n_locations)) if config.keep_policies else None
+    # slot-order outputs, written through their calendar views
+    loads = np.empty((trace.horizon, n_aps))
+    kept = np.empty((trace.horizon, n_aps, n_locations)) if config.keep_policies else None
+    calendar_loads = partition.calendar(loads)
     zone_pi = np.zeros((n_zones, n_aps, n_locations))
     # a thread's log-weights at its window's first slot: 0 on links, -inf on padding
     opening = np.where(np.take_along_axis(topology.support, table, axis=0), 0.0, -np.inf)
@@ -181,24 +183,21 @@ def run_online(
             lam = demand[p, threads, s]
             dense.reshape(-1)[index] = pi * inverse_rate
             slot_loads = (dense @ lam[:, :, None])[:, :, 0]
-            loads[p, threads, s] = slot_loads
+            calendar_loads[p, threads, s] = slot_loads
             if kept is not None:
                 played = np.zeros_like(dense)
                 played.reshape(-1)[index] = pi
-                kept[p, threads, s] = played
+                partition.calendar(kept)[p, threads, s] = played
             slope = np.take(load_slope(slot_loads, params), table, axis=1)
             grad = (slope * inverse_rate) * lam[:, None, :]
         zone_pi[threads].reshape(-1)[index] = pi
         support_losses += count * topology.support.sum() - np.count_nonzero(pi)
 
-    horizon = trace.horizon
-    loads = loads.reshape(horizon, n_aps)
     log = RunLog(
         costs=penalized_values(loads, params).sum(axis=1),
         loads=loads,
-        zones=np.tile(np.repeat(np.arange(1, n_zones + 1), width), periods),
+        zones=partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(periods * width, axis=1)),
         rho0=params.rho0,
         support_loss_events=int(support_losses),
     )
-    policies = None if kept is None else kept.reshape(horizon, n_aps, n_locations)
-    return OnlineRun(log=log, zone_policies=list(zone_pi), policies=policies)
+    return OnlineRun(log=log, zone_policies=list(zone_pi), policies=kept)

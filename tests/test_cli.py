@@ -323,10 +323,25 @@ class TestValidateAndErrors:
         missing = tmp_path / "nope.json"
         assert main(["validate", "--config", str(missing)]) == 3
 
-    def test_malformed_json_is_config_error(self, tmp_path):
+    def test_malformed_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
+        path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.count("config error: config is not valid JSON") == 2
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        # 50 slots hold no whole period of 24 zones x 10 slots
+        config = minimal_config(
+            tmp_path,
+            traffic={"source": "synthetic", "horizon": 50, "profile": {"slots_per_day": 6}},
+            partition={"zones": 24, "slots_per_zone": 10},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "config error: key 'partition'" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("content", [{"n_aps": 1}, [[1.0], [1.0]]], ids=["missing-keys", "list"])
@@ -528,6 +543,69 @@ class TestSweep:
         assert main(["sweep", "--config", config, "--out", str(out)]) == 2
         assert "config error: key 'traffic.path'" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_failed_combination_leaves_no_directory(self, tmp_path):
+        # 30 slots hold no whole 12-slot period: each combination fails in its partition
+        config = self.sweep_config(
+            tmp_path,
+            traffic={"source": "synthetic", "horizon": 30, "profile": {"slots_per_day": 12}},
+            sweep={"zones": [1, 2]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        rows = self.read_rows(out)
+        assert len(rows) == 2 and all("key 'partition'" in row["error"] for row in rows)
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+
+    def test_evaluate_writes_nothing_and_matches_run(self, tmp_path, monkeypatch):
+        from assoclearn import cli
+
+        path = self.sweep_config(tmp_path, benchmarks={"static": True, "dynamic": True})
+        config, _ = cli.load_config(path)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        monkeypatch.chdir(fresh)
+        before = sorted(tmp_path.rglob("*"))
+        topology = cli.build_experiment_topology(config)
+        evaluation = cli.evaluate(config, topology, cli.build_experiment_trace(config, topology))
+        assert not any(fresh.iterdir())
+        assert sorted(tmp_path.rglob("*")) == before
+
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        written = strict_json_outputs(out)
+
+        def as_json(payload):
+            return json.loads(json.dumps(payload, allow_nan=False))
+
+        assert as_json(evaluation.report.to_dict()) == written["regret.json"]
+        assert sorted(evaluation.benchmarks) == ["benchmark", "benchmark_dynamic", "benchmark_static"]
+        for name, solution in evaluation.benchmarks.items():
+            assert as_json(solution.to_dict()) == written[f"{name}.json"], name
+
+    def test_evaluate_shares_solves_across_eta(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from assoclearn import cli
+
+        calls = []
+        original = cli.solve_periodic_static
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "solve_periodic_static", counted)
+        config, _ = cli.load_config(self.sweep_config(tmp_path))
+        topology = cli.build_experiment_topology(config)
+        trace = cli.build_experiment_trace(config, topology)
+        solved = {}
+        first = cli.evaluate(config, topology, trace, solved)
+        second = cli.evaluate(replace(config, eta=0.2), topology, trace, solved)
+        assert len(calls) == 1
+        assert first.benchmarks["benchmark"] is second.benchmarks["benchmark"]
+        assert (first.report.eta_used, second.report.eta_used) == (0.5, 0.2)
+        assert first.report.regret != second.report.regret
 
     def test_failed_combination_recorded(self, tmp_path):
         # alpha=2 with rho0=1 is an invalid cost combination
