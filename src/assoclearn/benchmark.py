@@ -1,17 +1,22 @@
 """Hindsight benchmarks: one optimal static policy per time window.
 
 Each window's policy minimizes the window-aggregated penalized objective f
-over the product of per-location simplices, by entropic mirror steps from
-the uniform split: pi+ = `column_softmax`(log(pi) - s * grad), as in the
-online learner. Each window has its own step s: a step is accepted if
-f(pi+) <= f(pi) + <grad, pi+ - pi> + KL(pi+ || pi) / s, which equals
-f(pi) - <grad, pi> - sum_i log Z_i / s with Z_i = sum_j pi_ji exp(-s grad_ji);
-then s grows by STEP_GROWTH. A rejected step is retried with s halved.
-Before each step the window's Frank-Wolfe gap
-<grad, pi> - sum_i min_{j in N(i)} grad_ji, an upper bound on f(pi) - f*,
-is computed; the window stops once it is at most tolerance * max(1, |f|).
-A single window covering the horizon gives the classic static benchmark;
-singleton windows give the per-slot dynamic one.
+over the product of per-location simplices from the uniform split, by Tseng's
+accelerated Bregman proximal gradient with the entropy and adaptive restarts
+(O'Donoghue and Candes). A window keeps x, the mirror iterate z with log z,
+theta and a curvature L. An iteration takes y = (1-theta) x + theta z,
+z+ = `column_softmax`(log z + a) with a = -grad f(y) / (theta L) and
+x+ = (1-theta) x + theta z+, accepted if f(x+) - f(y) is at most
+-theta^2 L sum_i (log Z_i - <z_i, a_i>) + ROUNDING slack. L then shrinks by
+STEP_GROWTH (a rejection doubles it), and theta+ solves
+theta+^2 / (1 - theta+) = theta^2 L / L+. theta is 1 for the first PLAIN_STEPS
+accepted iterations (the learner's mirror step) and after a restart: on
+f(x+) > f(x), on <g, x+ - x> > 0, every RESTART_PERIOD iterations, or when L
+would overflow. A window stops once its Frank-Wolfe gap at y,
+<g, y> - sum_i min_{j in N(i)} g_ji >= f(y) - f*, is at most
+tolerance * max(1, |f(y)|), and returns y with that gap. A single window
+covering the horizon gives the classic static benchmark; singleton windows
+give the per-slot dynamic one.
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from .learner import column_softmax
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace, build_partition
 
-STEP_GROWTH = 1.25  # step factor after an accepted mirror step
+PLAIN_STEPS = 80  # accepted iterations at theta = 1 before momentum starts
+RESTART_PERIOD = 250  # accepted iterations after which momentum restarts
+STEP_GROWTH = 1.25  # L shrinks by this factor after an accepted iteration
 ROUNDING = 1e-12  # relative slack of the step test for rounding in f
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny  # TINY floors a restarted log z
 
 
 @dataclass(frozen=True)
@@ -93,16 +101,16 @@ def solve_windows(
     """Minimize every window's aggregated objective from the uniform split.
 
     demands is (n_windows, n_locations, window_length), as from
-    `TimePartition.by_window`. All windows advance in lock-step as one policy
-    stack, by the method of the module docstring, with first steps
-    1/(window_length * L_k). Windows without demand, or whose step bound is
-    too small to invert, keep the uniform split. Non-convergence within the iteration cap
-    is not an error: the last iterate is returned with its gap and
-    converged=False. A first step bound that overflows raises ValueError.
+    `TimePartition.by_window`. All windows advance in lock-step as one stack,
+    with first curvature L = window_length * L_k. Windows without demand, or
+    whose curvature is too small to invert, keep the uniform split. A window
+    at the iteration cap returns its last y with its gap and converged=False;
+    a first curvature that overflows raises ValueError.
     """
     solver = solver or SolverConfig()
     n_windows, _, window_length = demands.shape
-    opening = np.where(topology.support, 0.0, -np.inf)  # log-weights of the uniform split
+    support, inverse_rate = topology.support, topology.inverse_rate
+    opening = np.where(support, 0.0, -np.inf)  # log-weights of the uniform split
     uniform, log_norm = column_softmax(opening)
     pi = np.repeat(uniform[None], n_windows, axis=0)
     peaks = demands.max(axis=(1, 2))
@@ -116,51 +124,103 @@ def solve_windows(
             f"window {k + 1}: step bound {window_length} * L is not finite "
             f"(peak demand {peaks[k]}, L = {lipschitz[k]})"
         )
-    with np.errstate(divide="ignore", over="ignore"):
-        steps = 1.0 / bounds  # inf for a window without demand or a subnormal bound
     iterations, gaps = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
     converged = np.ones(n_windows, dtype=bool)
-    active = np.flatnonzero(np.isfinite(steps))
-    current, step = pi[active], steps[active]
-    log_pi = np.repeat((opening - log_norm)[None], active.size, axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        # no step for a window without demand or with a subnormal curvature
+        active = np.flatnonzero(np.isfinite(1.0 / bounds))
+    overflows = np.zeros(active.size, dtype=int)  # since the last accepted iteration
+    curvature, theta, scale = bounds[active], np.ones(active.size), np.ones(active.size)
+    x = pi[active]
+    z, log_z = x.copy(), np.repeat((opening - log_norm)[None], active.size, axis=0)
     # Demands stay the caller's single copy until some window finishes: the
     # loads product reads it as stored, the gradient through swapped axes.
     active_demands = demands if active.size == n_windows else demands[active]
-    loads = (current * topology.inverse_rate) @ active_demands  # (n, n_aps, window_length)
-    values = _objectives(loads, params)
+    loads_x = (x * inverse_rate) @ active_demands  # (n, n_aps, window_length)
+    loads_z, values_x = loads_x.copy(), _objectives(loads_x, params)
     while active.size:
-        grad = (load_slope(loads, params) @ active_demands.swapaxes(1, 2)) * topology.inverse_rate
-        best = np.where(topology.support, grad, np.inf).min(axis=1).sum(axis=1)
-        linear = (grad * current).sum(axis=(1, 2))
-        gaps[active] = linear - best
-        converged[active] = gaps[active] <= solver.tolerance * np.maximum(1.0, np.abs(values))
-        running = ~converged[active] & (iterations[active] < solver.max_iterations)
-        if not running.all():
-            pi[active] = current
-            active, current, log_pi, grad, linear, loads, values, step = (
-                a[running] for a in (active, current, log_pi, grad, linear, loads, values, step)
+        plain = (theta == 1).all()  # y = x = z
+        mix = theta[:, None, None]
+        loads_y = loads_x if plain else (1 - mix) * loads_x + mix * loads_z
+        values_y = values_x if plain else _objectives(loads_y, params)
+        slope = load_slope(loads_y, params)
+        grad = (slope @ active_demands.swapaxes(1, 2)) * inverse_rate
+        best = np.where(support, grad, np.inf).min(axis=1).sum(axis=1)
+        target = solver.tolerance * np.maximum(1.0, np.abs(values_y))
+        stop = (
+            ((slope * loads_y).sum(axis=(1, 2)) - best <= target)
+            | (iterations[active] >= solver.max_iterations)
+            | (overflows > 1)
+        )
+        del loads_y  # the step needs only y's slope and value
+        if stop.any():
+            y = (1 - mix[stop]) * x[stop] + mix[stop] * z[stop]
+            gap = (grad[stop] * y).sum(axis=(1, 2)) - best[stop]
+            keep, finished = ~stop, active[stop]
+            pi[finished], gaps[finished], converged[finished] = y, gap, gap <= target[stop]
+            (active, active_demands, x, z, log_z, loads_x, loads_z, values_x, values_y, slope,
+             grad, curvature, theta, scale, overflows, mix) = (
+                a[keep] for a in (active, active_demands, x, z, log_z, loads_x, loads_z, values_x,
+                                  values_y, slope, grad, curvature, theta, scale, overflows, mix)
             )
-            active_demands = active_demands[running]
-        trial = np.arange(active.size)  # windows yet to take this iteration's step
-        while trial.size:
-            g, s, f = grad[trial], step[trial], values[trial]
-            theta = log_pi[trial] - s[:, None, None] * g
-            candidate, log_norm = column_softmax(theta)
-            new_loads = (candidate * topology.inverse_rate) @ (
-                active_demands if trial.size == active.size else active_demands[trial]
-            )
-            new_values = _objectives(new_loads, params)
-            model = -linear[trial] - log_norm.sum(axis=(1, 2)) / s
-            ok = new_values - f <= model + ROUNDING * np.maximum(1.0, np.abs(f))
-            done = trial[ok]
-            current[done], loads[done], values[done] = candidate[ok], new_loads[ok], new_values[ok]
-            log_pi[done] = (theta - log_norm)[ok]
-            step[done] *= STEP_GROWTH
-            trial = trial[~ok]
-            step[trial] /= 2  # a rejected window retries with half the step
-        iterations[active] += 1
+        step = grad / (theta * curvature)[:, None, None]
+        shifted = log_z - step
+        candidate, log_norm = column_softmax(shifted)
+        new_loads_z = (candidate * inverse_rate) @ active_demands
+        new_loads_x = new_loads_z if plain else (1 - mix) * loads_x + mix * new_loads_z
+        new_values = _objectives(new_loads_x, params)
+        # model -theta^2 L sum_i (log Z_i - <z_i, a_i>) with a = -step, <g, z> from the loads
+        weight, linear_z = theta**2 * curvature, (slope * loads_z).sum(axis=(1, 2))
+        slack = ROUNDING * np.maximum(1.0, np.abs(values_y)) - (new_values - values_y)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves doubt
+            room = slack - theta * linear_z - weight * log_norm.sum(axis=(1, 2))
+            rounding = theta * linear_z + weight * (1 + np.abs(log_norm)).sum(axis=(1, 2))
+        # where log Z_i's rounding can decide the test, log Z_i - <z_i, a_i> is log1p
+        # of the centred exponents' expm1s (in columns where none exceeds 1)
+        doubt = np.flatnonzero(~(np.abs(room) > 64 * EPS * rounding))
+        if doubt.size:
+            zd, sd = z[doubt], step[doubt]
+            mean = np.einsum("kjn,kjn->kn", zd, sd)[:, None]
+            centred = np.minimum(mean - sd, 1.0)
+            small = np.log1p(np.einsum("kjn,kjn->kn", zd, np.expm1(centred))[:, None])
+            far = centred.max(axis=1, keepdims=True) >= 1
+            spread = np.where(far, log_norm[doubt] + mean, small).sum(axis=(1, 2))
+            room[doubt] = slack[doubt] - weight[doubt] * spread
+        ok = room >= 0
+        done = np.flatnonzero(ok)
+        iterations[active[done]] += 1
+        carried = done[theta[done] < 1]  # accepted steps with momentum
+        # restart when f(x+) > f(x) or <g, x+ - x> = theta <g, z+ - x> > 0
+        restart = carried[
+            (iterations[active[carried]] % RESTART_PERIOD == 0)
+            | (new_values[carried] > values_x[carried])
+            | ((slope[carried] * (new_loads_z[carried] - loads_x[carried])).sum(axis=(1, 2)) > 0)
+        ] if carried.size else carried
+        np.copyto(x, candidate if plain else (1 - mix) * x + mix * candidate, where=ok[:, None, None])
+        np.copyto(z, candidate, where=ok[:, None, None])
+        np.copyto(log_z, np.subtract(shifted, log_norm, out=shifted), where=ok[:, None, None])
+        loads_x[done], loads_z[done] = new_loads_x[done], new_loads_z[done]
+        values_x[done], scale[done] = new_values[done], theta[done] ** 2 * curvature[done]
+        with np.errstate(over="ignore"):
+            curvature = np.where(ok, curvature / STEP_GROWTH, curvature * 2)
+        blown = np.flatnonzero(np.isinf(curvature))
+        overflows[done], overflows[blown] = 0, overflows[blown] + 1
+        curvature[blown] = scale[blown] = bounds[active[blown]]
+        # Tseng's rule, varying L: theta^2 L / (1 - theta) = last accepted theta^2 L
+        ratio, momentum = scale / curvature, (theta < 1) | ok
+        momentum &= iterations[active] >= PLAIN_STEPS
+        theta = np.where(momentum, (np.sqrt(ratio * (ratio + 4)) - ratio) / 2, 1.0)
+        reset = np.concatenate((restart, blown))
+        if reset.size:  # log z = log x floored on the support, so no AP is lost
+            theta[reset] = 1.0
+            floored = np.where(support, np.log(np.maximum(x[reset], TINY)), -np.inf)
+            log_z[reset] = floored - column_softmax(floored)[1]
+            # x = z is a zero step from log z: a tiny next step moves f by its size
+            x[reset] = z[reset] = column_softmax(log_z[reset])[0]
+            loads_x[reset] = loads_z[reset] = (z[reset] * inverse_rate) @ active_demands[reset]
+            values_x[reset] = _objectives(loads_x[reset], params)
 
-    values = _objectives((pi * topology.inverse_rate) @ demands, params)
+    values = _objectives((pi * inverse_rate) @ demands, params)
     diagnostics = [
         WindowDiagnostics(*d) for d in zip(iterations.tolist(), gaps.tolist(), converged.tolist())
     ]

@@ -18,14 +18,25 @@ from assoclearn import (
     solve_static,
     validate_policy,
 )
+from assoclearn.cli import build_experiment_topology, build_experiment_trace, parse_config
 from assoclearn.metrics import replay_benchmark
 from conftest import make_random_topology, window_solution
 from oracles import grid_min_window_objective, reference_frank_wolfe_gap
 from test_acceptance import acceptance_topology
+from test_cli import readme_config
 
 
 def toy_trace(values):
     return TrafficTrace(demand=np.asarray(values, dtype=float))
+
+
+def readme_two_days():
+    """Topology and trace of the README config with a 480-slot horizon."""
+    _, doc = readme_config()
+    doc["traffic"]["horizon"] = 480
+    config = parse_config(doc)
+    topo = build_experiment_topology(config)
+    return topo, build_experiment_trace(config, topo)
 
 
 class TestSolveWindow:
@@ -106,6 +117,25 @@ class TestSolveWindow:
         trace = toy_trace(np.full((4, 1), 1e10))
         with pytest.raises(ValueError, match="window 1: step bound"):
             window_solution(topo, trace, np.arange(1, 5), CostParams(alpha=150, rho0=0.99))
+
+    @pytest.mark.parametrize(
+        "alpha, slot", [(100.0, 175), (100.0, 389), (100.0, 455), (140.0, 142), (140.0, 403)]
+    )
+    def test_steep_cost_windows_converge(self, alpha, slot):
+        # rho0 = 0.99 puts f above 1e150 with a first L near 1e200. At alpha =
+        # 100 the step test's log Z_i - <z_i, a_i> falls far below the rounding
+        # of log Z_i; taken as a plain difference it stalled accelerated steps
+        # on these slots. At alpha = 140 the rounding in f exceeds the test's
+        # slack at every step size, so L doubles until it would overflow (slot
+        # 142 at iteration 863, with momentum; slot 403 at iteration 4, without)
+        # and the window restarts from x renormalized. Plain mirror steps
+        # halved their step to zero on 175, 142 and 403.
+        topo, trace = readme_two_days()
+        params, solver = CostParams(alpha=alpha, rho0=0.99), SolverConfig()
+        pi, objective, diag = window_solution(topo, trace, np.array([slot]), params)
+        validate_policy(pi, topo)
+        assert diag.converged and diag.iterations < solver.max_iterations
+        assert 0 <= diag.gap <= solver.tolerance * abs(objective)
 
 
 class TestPeriodicStatic:
@@ -231,18 +261,20 @@ class TestGapCertificate:
             assert diag.gap == pytest.approx(reference, rel=1e-9, abs=1e-12), f"instance {instance}"
 
     def test_overloaded_window_converges_within_default_cap(self):
-        # window 12 of the six-AP network's README-profile day at alpha = 2:
-        # about a quarter of its AP-slots sit above rho0, where the cost is
-        # linear; a fixed-step solver stops there at the cap
+        # windows 2 and 12 of the six-AP network's README-profile day at
+        # alpha = 2: about a quarter of their AP-slots sit above rho0, where
+        # the cost is linear; a fixed-step solver stops there at the cap, and
+        # plain mirror steps take 3,673 and 2,714 iterations
         topo = acceptance_topology()
         trace = generate_synthetic(25, 5760, seed=2024, profile=SyntheticProfile(slots_per_day=240))
-        window = build_partition(5760, 24, 10).window(12)
         params = CostParams(alpha=2.0, rho0=0.8)
-        pi, objective, diag = window_solution(topo, trace, window, params)
-        overloaded = ((pi * topo.inverse_rate) @ trace.demand[window - 1].T > params.rho0).mean()
-        assert 0.2 <= overloaded <= 0.35
-        assert diag.converged and diag.iterations < SolverConfig().max_iterations
-        assert diag.gap <= SolverConfig().tolerance * abs(objective)
+        for zone in (2, 12):
+            window = build_partition(5760, 24, 10).window(zone)
+            pi, objective, diag = window_solution(topo, trace, window, params)
+            overloaded = ((pi * topo.inverse_rate) @ trace.demand[window - 1].T > params.rho0).mean()
+            assert 0.2 <= overloaded <= 0.35, f"window {zone}"
+            assert diag.converged and diag.iterations <= 1_000, f"window {zone}"
+            assert diag.gap <= SolverConfig().tolerance * abs(objective), f"window {zone}"
 
     @pytest.mark.parametrize("alpha, rho0", [(0.0, 1.0), (1.0, 0.6), (2.0, 0.5)])
     def test_converged_windows_meet_gap_target(self, rng, alpha, rho0):
