@@ -49,6 +49,7 @@ from .learner import (
     init_uniform,
     mirror_map,
     run_online,
+    run_online_stack,
 )
 from .benchmark import (
     BenchmarkSolution,
@@ -106,6 +107,7 @@ __all__ = [
     "init_uniform",
     "mirror_map",
     "run_online",
+    "run_online_stack",
     "BenchmarkSolution",
     "SolverConfig",
     "WindowDiagnostics",

@@ -37,7 +37,7 @@ from .benchmark import (
     solve_static,
 )
 from .cost import CostParams
-from .learner import LearnerConfig, OnlineRun, run_online
+from .learner import LearnerConfig, OnlineRun, run_online, run_online_stack
 from .metrics import RegretReport, peak_bound, regret, runlog_to_csv
 from .topology import (
     RadioConfig,
@@ -309,15 +309,59 @@ class Evaluation:
     benchmarks: dict  # output file stem -> BenchmarkSolution; "benchmark" is the periodic one
 
 
+def _step(config: ExperimentConfig, topology: Topology, trace: TrafficTrace) -> tuple[float, str | None]:
+    """The learner's step size, and why "auto" fell back to 1.0 (None otherwise)."""
+    if config.eta != "auto":
+        return float(config.eta), None
+    _, bound = peak_bound(topology, trace, config.zones, config.cost)
+    if bound.eta_star is None or not 0.0 < bound.eta_star < math.inf:
+        return 1.0, bound.note or "eta_star_out_of_range"
+    return float(bound.eta_star), None
+
+
+def _learned_key(config: ExperimentConfig) -> tuple:
+    """Everything an online run depends on besides the shared inputs."""
+    return config.zones, config.slots_per_zone, config.cost, config.eta
+
+
+def learn(configs: list, topology: Topology, trace: TrafficTrace, learned: dict) -> None:
+    """Learn every config online into `learned` (see `evaluate`), one stack per (zones, alpha).
+
+    Configs that differ only in rho0, psi and eta advance as the members of
+    one `run_online_stack` call, whose runs equal their single runs bit for
+    bit. A calendar the trace does not fit is left for `evaluate` to report.
+    """
+    stacks = {}
+    for config in configs:
+        stack = stacks.setdefault((config.zones, config.slots_per_zone, config.cost.alpha), {})
+        stack[_learned_key(config)] = config
+    for (zones, slots_per_zone, _), members in stacks.items():
+        try:
+            partition = build_partition(trace.horizon, zones, slots_per_zone)
+        except ValueError:
+            continue
+        steps = [_step(config, topology, trace) for config in members.values()]
+        costs = [config.cost for config in members.values()]
+        learners = [LearnerConfig(eta=eta) for eta, _ in steps]
+        runs = run_online_stack(topology, trace, partition, costs, learners)
+        learned.update((key, (run, *step)) for key, run, step in zip(members, runs, steps))
+
+
 def evaluate(
-    config: ExperimentConfig, topology: Topology, trace: TrafficTrace, solved: dict | None = None
+    config: ExperimentConfig,
+    topology: Topology,
+    trace: TrafficTrace,
+    solved: dict | None = None,
+    learned: dict | None = None,
 ) -> Evaluation:
     """Solve the benchmarks the config asks for, learn online and compute regret; write nothing.
 
     Hindsight solutions are kept in `solved` under a key of everything they
     depend on (never eta), so calls that pass one dict and have equal keys
-    share one solve. An eta of "auto" becomes the bound-minimizing step, or
-    1.0 with a note when that step is not positive and finite.
+    share one solve. Online runs are kept in `learned` the same way, with the
+    step size and its note; `learn` fills it for many configs at once. An eta
+    of "auto" becomes the bound-minimizing step, or 1.0 with a note when that
+    step is not positive and finite.
     """
     try:
         partition = build_partition(trace.horizon, config.zones, config.slots_per_zone)
@@ -341,14 +385,13 @@ def evaluate(
                 raise ConfigError(f"key 'traffic': {exc}") from None
         benchmarks[name] = solved[key]
 
-    eta, eta_note = config.eta, None
-    if eta == "auto":
-        _, bound = peak_bound(topology, trace, config.zones, config.cost)
-        eta = bound.eta_star
-        if eta is None or not 0.0 < eta < math.inf:
-            eta, eta_note = 1.0, bound.note or "eta_star_out_of_range"
-    eta = float(eta)
-    run = run_online(topology, trace, partition, config.cost, LearnerConfig(eta=eta))
+    learned = {} if learned is None else learned
+    key = _learned_key(config)
+    if key not in learned:
+        eta, eta_note = _step(config, topology, trace)
+        run = run_online(topology, trace, partition, config.cost, LearnerConfig(eta=eta))
+        learned[key] = run, eta, eta_note
+    run, eta, eta_note = learned[key]
     report = regret(
         run.log.costs,
         benchmarks["benchmark"],
@@ -368,17 +411,19 @@ def run_experiment(
     raw_config: dict | None = None,
     inputs: tuple[Topology, TrafficTrace] | None = None,
     solved: dict | None = None,
+    learned: dict | None = None,
 ) -> Evaluation:
     """`evaluate` one configuration, then write its artifacts into out_dir.
 
     A sweep passes the (topology, trace) it built once as inputs, and one
-    `solved` dict for all its combinations (see `evaluate`). out_dir is made
-    only once the evaluation succeeds; manifest.json hashes every other file.
+    `solved` and one `learned` dict for all its combinations (see
+    `evaluate`). out_dir is made only once the evaluation succeeds;
+    manifest.json hashes every other file.
     """
     if inputs is None:
         topology = build_experiment_topology(config)
         inputs = topology, build_experiment_trace(config, topology)
-    evaluation = evaluate(config, *inputs, solved)
+    evaluation = evaluate(config, *inputs, solved, learned)
     report = evaluation.report
 
     out = Path(out_dir)
@@ -436,16 +481,25 @@ SWEEP_COLUMNS = [
 
 
 def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, combos: list) -> list[list]:
-    """sweep.csv rows of combinations run in order on shared inputs and one store of solves."""
+    """sweep.csv rows of combinations learned together and run in order on shared inputs."""
     period = config.zones * config.slots_per_zone
-    solved = {}
-    rows = []
+    subs = []
     for zones, rho0, alpha, eta in combos:
         try:
             cost = replace(config.cost, alpha=float(alpha), rho0=float(rho0))
-            sub = replace(config, zones=zones, slots_per_zone=period // zones, cost=cost, eta=eta)
+        except ValueError as exc:  # an invalid (alpha, rho0) fails its own row only
+            subs.append(exc)
+            continue
+        subs.append(replace(config, zones=zones, slots_per_zone=period // zones, cost=cost, eta=eta))
+    solved, learned = {}, {}
+    learn([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, learned)
+    rows = []
+    for (zones, rho0, alpha, eta), sub in zip(combos, subs):
+        try:
+            if isinstance(sub, Exception):
+                raise sub
             out = out_dir / f"K{zones}_rho{rho0}_alpha{alpha}_eta{eta}"
-            report = run_experiment(sub, out, inputs=inputs, solved=solved).report
+            report = run_experiment(sub, out, inputs=inputs, solved=solved, learned=learned).report
         except Exception as exc:  # recorded per row; the sweep keeps going
             rows.append([zones, rho0, alpha, eta, "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
             continue
@@ -459,10 +513,13 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """All sweep combinations; one consolidated CSV plus per-combo artifacts.
 
     The topology and trace are built once, before any combination runs, so
-    an error in them ends the sweep. Every benchmark depends on the cost,
-    and the periodic one on the zones too; combinations that could share a
-    solve run as one group in one worker, so each distinct benchmark is
-    solved once, also with jobs > 1.
+    an error in them ends the sweep. Combinations run in groups, one group
+    per worker, and a group's combinations that share zones and alpha are
+    learned as one stack (`learn`). Every benchmark depends on the cost, and
+    the periodic one on the zones too. Without a static or dynamic benchmark
+    a group is a (zones, alpha) pair, so each group is one stack; otherwise
+    it is an (alpha, rho0) pair, so each distinct benchmark is solved once,
+    also with jobs > 1.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -480,7 +537,7 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     by_zones = not (config.benchmark_static or config.benchmark_dynamic)
     groups = {}
     for index, (zones, rho0, alpha, _) in enumerate(combos):
-        groups.setdefault((rho0, alpha, zones if by_zones else None), []).append(index)
+        groups.setdefault((alpha, zones if by_zones else rho0), []).append(index)
     tasks = [[combos[i] for i in group] for group in groups.values()]
     workers = min(jobs, len(tasks))  # the pool starts all its workers up front
     if workers > 1:

@@ -109,7 +109,10 @@ def load_slope(loads: np.ndarray, params: CostParams) -> np.ndarray:
     """Elementwise derivative of the penalized per-AP cost w.r.t. its load.
 
     (1-rho)^(-alpha) below the threshold, psi*(1-rho0)^(-alpha) above it;
-    the threshold itself takes the interior branch.
+    the threshold itself takes the interior branch. params may hold rho0,
+    psi and threshold_slope as arrays that broadcast against loads, but
+    alpha must stay a scalar: x ** -1.0 takes numpy's reciprocal path,
+    which differs in the last bit from the power with an array exponent.
     """
     loads = np.asarray(loads, dtype=float)
     interior = (1.0 - np.minimum(loads, params.rho0)) ** (-params.alpha)

@@ -9,11 +9,19 @@ zone; a thread starts from the uniform split at its window's first slot and
 otherwise advances from the log-policy and gradient it stored at the
 previous slot of the same window. Every window has the same length, so the
 threads advance in lock-step, one window rank at a time, as a stack.
+
+The stack can also carry several members: runs on one trace and calendar
+that share alpha and differ in rho0, psi or eta, as the combinations of a
+sweep do. Each (zone, member) pair is then one thread with its own step
+size and threshold, and each member's run equals its one-member run bit
+for bit (`run_online_stack`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -135,21 +143,44 @@ def run_online(
     log(pi) - eta * grad, from the log-policy and gradient stored at the
     window's previous slot. The demand then arrives, the realized cost and
     loads are logged, and the gradient at the played policy is stored for
-    the thread's next slot.
+    the thread's next slot. This is `run_online_stack` with one member.
+    """
+    return run_online_stack(topology, trace, partition, [params], [config])[0]
+
+
+def run_online_stack(
+    topology: Topology,
+    trace: TrafficTrace,
+    partition: TimePartition,
+    params: Sequence[CostParams],
+    configs: Sequence[LearnerConfig],
+) -> list[OnlineRun]:
+    """`run_online` for several (params, config) members in one pass; one run each.
+
+    The members share the trace, the calendar and alpha, which must stay a
+    scalar (see `load_slope`), and may differ in rho0, psi and eta. Every
+    output matches the member's own one-member run bit for bit.
 
     With the demand in `TimePartition.calendar` layout, rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
-    therefore runs over the periods * slots_per_zone ranks and advances
-    blocks of at most STACK_ENTRIES / (M * n_locations) threads (at least
-    one) as one log-policy stack in the compact layout of
-    `Topology.neighbor_table`, M rows deep, -inf off the support. Loads come
-    from the policies scattered back to a dense stack, so every output
-    matches a slot-by-slot dense replay bit for bit. A block's support
-    losses are its link count minus its final policies' nonzero count.
+    therefore runs over the periods * slots_per_zone ranks and advances the
+    (zone, member) threads of blocks of zones, at most STACK_ENTRIES /
+    (members * M * n_locations) zones (at least one), as one log-policy stack
+    in the compact layout of `Topology.neighbor_table`, M rows deep, -inf off
+    the support. Loads come from the policies scattered back to a dense
+    stack, so every output matches a slot-by-slot dense replay bit for bit.
+    A member's support losses are its link count minus its final policies'
+    nonzero count.
     """
     if trace.n_locations != topology.n_locations:
         raise ValueError("trace and topology disagree on the number of locations")
+    if len(params) != len(configs) or not configs:
+        raise ValueError("a stack needs one config per cost and at least one member")
+    alpha = params[0].alpha
+    if any(p.alpha != alpha for p in params):
+        raise ValueError("the members of a stack must share alpha")
 
+    members = len(configs)
     periods, n_zones, width = partition.periods, partition.zones, partition.slots_per_zone
     n_aps, n_locations = topology.n_aps, topology.n_locations
     table = topology.neighbor_table
@@ -157,47 +188,59 @@ def run_online(
     # flat position of each compact entry in one thread's dense (n_aps, n_locations) policy
     offsets = table * n_locations + np.arange(n_locations)
     demand = partition.calendar(trace.demand)
-    # slot-order outputs, written through their calendar views
-    loads = np.empty((trace.horizon, n_aps))
-    kept = np.empty((trace.horizon, n_aps, n_locations)) if config.keep_policies else None
+    # per-member parameters, shaped to broadcast over (zones, members, ...) stacks
+    eta = np.array([c.eta for c in configs])[:, None, None]
+    stacked = SimpleNamespace(alpha=alpha)
+    for name in ("rho0", "psi", "threshold_slope"):
+        setattr(stacked, name, np.array([getattr(p, name) for p in params])[:, None])
+    # (T, members, ...) outputs, written through their calendar views
+    loads = np.empty((trace.horizon, members, n_aps))
+    keep = any(c.keep_policies for c in configs)
+    kept = np.empty((trace.horizon, members, n_aps, n_locations)) if keep else None
     calendar_loads = partition.calendar(loads)
-    zone_pi = np.zeros((n_zones, n_aps, n_locations))
+    zone_pi = np.zeros((n_zones, members, n_aps, n_locations))
     # a thread's log-weights at its window's first slot: 0 on links, -inf on padding
     opening = np.where(np.take_along_axis(topology.support, table, axis=0), 0.0, -np.inf)
-    block = max(1, STACK_ENTRIES // table.size)
-    support_losses = 0
+    block = max(1, STACK_ENTRIES // (members * table.size))
+    support_losses = np.zeros(members, dtype=np.int64)
 
     for start in range(0, n_zones, block):
-        threads = slice(start, min(start + block, n_zones))
-        count = threads.stop - start
-        index = np.arange(count)[:, None, None] * (n_aps * n_locations) + offsets
-        dense = np.zeros((count, n_aps, n_locations))
-        theta = np.repeat(opening[None], count, axis=0)
+        zones = slice(start, min(start + block, n_zones))
+        count = zones.stop - start
+        index = np.arange(count * members).reshape(count, members, 1, 1) * (n_aps * n_locations) + offsets
+        dense = np.zeros((count, members, n_aps, n_locations))
+        theta = np.broadcast_to(opening, (count, members, *opening.shape)).copy()
         for rank in range(periods * width):
             p, s = divmod(rank, width)
             if rank:
-                theta -= config.eta * grad
+                theta -= eta * grad
             pi, log_norm = column_softmax(theta)
             theta -= log_norm
 
-            lam = demand[p, threads, s]
+            lam = demand[p, zones, s][:, None]  # (count, 1, n_locations)
             dense.reshape(-1)[index] = pi * inverse_rate
-            slot_loads = (dense @ lam[:, :, None])[:, :, 0]
-            calendar_loads[p, threads, s] = slot_loads
+            slot_loads = (dense @ lam[..., None])[..., 0]
+            calendar_loads[p, zones, s] = slot_loads
             if kept is not None:
                 played = np.zeros_like(dense)
                 played.reshape(-1)[index] = pi
-                partition.calendar(kept)[p, threads, s] = played
-            slope = np.take(load_slope(slot_loads, params), table, axis=1)
-            grad = (slope * inverse_rate) * lam[:, None, :]
-        zone_pi[threads].reshape(-1)[index] = pi
-        support_losses += count * topology.support.sum() - np.count_nonzero(pi)
+                partition.calendar(kept)[p, zones, s] = played
+            slope = np.take(load_slope(slot_loads, stacked), table, axis=-1)
+            grad = (slope * inverse_rate) * lam[..., None, :]
+        zone_pi[zones].reshape(-1)[index] = pi
+        support_losses += count * topology.support.sum() - np.count_nonzero(pi, axis=(0, 2, 3))
 
-    log = RunLog(
-        costs=penalized_values(loads, params).sum(axis=1),
-        loads=loads,
-        zones=partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(periods * width, axis=1)),
-        rho0=params.rho0,
-        support_loss_events=int(support_losses),
-    )
-    return OnlineRun(log=log, zone_policies=list(zone_pi), policies=kept)
+    zone_of_slot = partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(periods * width, axis=1))
+    runs = []
+    for m, (member, config) in enumerate(zip(params, configs)):
+        member_loads = np.ascontiguousarray(loads[:, m])
+        log = RunLog(
+            costs=penalized_values(member_loads, member).sum(axis=1),
+            loads=member_loads,
+            zones=zone_of_slot,
+            rho0=member.rho0,
+            support_loss_events=int(support_losses[m]),
+        )
+        policies = np.ascontiguousarray(kept[:, m]) if config.keep_policies else None
+        runs.append(OnlineRun(log=log, zone_policies=list(zone_pi[:, m]), policies=policies))
+    return runs

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import sys
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -169,9 +170,48 @@ def load_trace_csv(path, n_locations: int, horizon: int | None = None) -> Traffi
 
     The horizon is inferred as the largest slot id unless given explicitly.
     Malformed or repeated rows raise with the offending 1-based line numbers.
+    np.loadtxt reads a well-formed file at once; a file it rejects (quoted
+    fields, digit separators, a stray header) or whose values fail a check
+    is read again row by row, the only path that raises.
     """
     if n_locations <= 0:
         raise ValueError("n_locations must be positive")
+    columns = _read_columns(path)
+    if columns is None or not _clean(*columns, n_locations, horizon):
+        columns = _read_rows(path, n_locations, horizon)
+    slots, locs, values = columns
+    demand = np.zeros((slots.max() if horizon is None else horizon, n_locations))
+    demand[slots - 1, locs - 1] = values
+    return TrafficTrace(demand=demand)
+
+
+def _read_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(slots, locations, intensities) as parsed by np.loadtxt, or None where it fails or warns."""
+    fields = [("t", np.int64), ("location_id", np.int64), ("intensity", float)]
+    try:
+        with open(path, newline="") as fh:
+            header = fh.readline().rstrip("\r\n") == ",".join(TRACE_HEADER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns
+            rows = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, skiprows=int(header), ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return tuple(np.ascontiguousarray(rows[name]) for name, _ in fields)
+
+
+def _clean(slots, locs, values, n_locations: int, horizon: int | None) -> bool:
+    """Whether the columns pass every check of `_read_rows`, duplicates included."""
+    if not (slots.size and (slots >= 1).all() and (horizon is None or (slots <= horizon).all())):
+        return False
+    if not ((locs >= 1).all() and (locs <= n_locations).all()):
+        return False
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        return False
+    return np.bincount((slots - 1) * n_locations + locs - 1).max() <= 1
+
+
+def _read_rows(path, n_locations: int, horizon: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns read row by row; the first bad row raises with its line number."""
     last_slot = sys.maxsize if horizon is None else horizon
     # typed columns: 32 bytes a row, where a list of row tuples takes about 120
     lines, slots, locs, values = array("q"), array("q"), array("q"), array("d")
@@ -206,8 +246,8 @@ def load_trace_csv(path, n_locations: int, horizon: int | None = None) -> Traffi
         if not slots:
             raise ValueError("cannot infer horizon from an empty trace file")
         horizon = max(slots)
-    index = (np.frombuffer(slots, dtype=np.int64) - 1, np.frombuffer(locs, dtype=np.int64) - 1)
-    cells = np.ravel_multi_index(index, (horizon, n_locations))
+    columns = np.frombuffer(slots, dtype=np.int64), np.frombuffer(locs, dtype=np.int64)
+    cells = np.ravel_multi_index((columns[0] - 1, columns[1] - 1), (horizon, n_locations))
     repeated = np.flatnonzero(np.bincount(cells) > 1)
     if repeated.size:
         first, again = np.flatnonzero(cells == repeated[0])[:2]
@@ -215,6 +255,4 @@ def load_trace_csv(path, n_locations: int, horizon: int | None = None) -> Traffi
             f"line {lines[again]}: duplicate t={slots[again]}, location_id={locs[again]} "
             f"of line {lines[first]}"
         )
-    demand = np.zeros((horizon, n_locations))
-    demand[index] = np.frombuffer(values)
-    return TrafficTrace(demand=demand)
+    return (*columns, np.frombuffer(values))

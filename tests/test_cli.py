@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +532,43 @@ class TestSweep:
                 combo = out / f"K{zones}_rho1.0_alpha0.0_eta{eta}"
                 for name in ("benchmark.json", "runlog.csv", "regret.json"):
                     assert (combo / name).read_bytes() == (single / name).read_bytes(), (combo, name)
+
+    def test_stacked_combinations_match_single_runs(self, tmp_path):
+        # the (rho0, eta) members of each (zones, alpha) pair are learned as one
+        # stack; rho0 = 1.0 is invalid at alpha = 1 and fails that row alone
+        sweep = {"zones": [1, 2], "rho0": [0.5, 0.9, 1.0], "alpha": [0.0, 1.0], "eta": [0.2, 0.5]}
+        config = self.csv_sweep_config(tmp_path, sweep=sweep)
+        # a longer trace of lighter demand: many loads lie below the thresholds,
+        # where the slope depends on alpha
+        profile = {"slots_per_day": 6, "sigma": 0.5, "base_min": 0.05, "base_max": 0.3}
+        traffic = {"source": "synthetic", "horizon": 60, "profile": profile}
+        generate = minimal_config(tmp_path, traffic=traffic)
+        assert main(["gen-trace", "--config", generate, "--out", str(tmp_path / "trace.csv")]) == 0
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        rows = self.read_rows(out)
+        assert len(rows) == 24
+        for row in rows:
+            invalid = row["rho0"] == "1.0" and row["alpha"] == "1.0"
+            assert ("rho0 = 1 is only allowed for alpha = 0" in row["error"]) == invalid, row
+            assert (row["error"] == "") != invalid
+        doc = json.loads((tmp_path / "csv_sweep.json").read_text())
+        del doc["sweep"]
+        for zones, rho0, alpha, eta in itertools.product(*sweep.values()):
+            if rho0 == 1.0 and alpha == 1.0:
+                continue
+            doc.update(
+                partition={"zones": zones, "slots_per_zone": 6 // zones},
+                cost={"alpha": alpha, "rho0": rho0, "psi": 1.0},
+                eta=eta,
+            )
+            single = tmp_path / "single"
+            shutil.rmtree(single, ignore_errors=True)
+            single_config = write_json(tmp_path / "single.json", doc)
+            assert main(["run", "--config", single_config, "--out", str(single)]) == 0
+            combo = out / f"K{zones}_rho{rho0}_alpha{alpha}_eta{eta}"
+            for name in ("benchmark.json", "runlog.csv", "regret.json"):
+                assert (combo / name).read_bytes() == (single / name).read_bytes(), (combo, name)
 
     def test_input_errors_end_sweep(self, tmp_path, capsys):
         config = self.csv_sweep_config(tmp_path, sweep={"zones": [1, 2]})

@@ -18,7 +18,7 @@ from assoclearn import (
     validate_policy,
 )
 from assoclearn.cost import grad_from_loads, load_slope
-from assoclearn.learner import STACK_ENTRIES, UNDERFLOW
+from assoclearn.learner import STACK_ENTRIES, UNDERFLOW, run_online_stack
 from assoclearn.metrics import replay_benchmark
 from conftest import make_random_policy, make_random_topology
 
@@ -406,3 +406,49 @@ class TestRunOnline:
         assert played[0] == 0.5 and played[1] == 0.0
         assert played[2] > 0.5
         assert run.log.support_loss_events == 0
+
+
+class TestRunOnlineStack:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_members_match_their_single_runs(self, rng, alpha):
+        # 4 members of 3 * 6000 compact entries overflow STACK_ENTRIES, so the
+        # 4 zones advance in blocks of one; at alpha = 1 an array alpha would
+        # change the last bit of some slopes
+        topo = make_random_topology(rng, 6000, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
+        periods, zones, width = 2, 4, 3
+        horizon = periods * zones * width
+        trace = toy_trace(rng.uniform(0.0, 1e-3, (horizon, 6000)))
+        partition = build_partition(horizon, zones, width)
+        params = [CostParams(alpha=alpha, rho0=rho0, psi=psi) for rho0, psi in [(0.5, 1.0), (0.9, 2.0)] * 2]
+        configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (0.3, 1.0, 50.0, 1e4)]
+        assert 4 * topo.neighbor_table.size > STACK_ENTRIES
+        runs = run_online_stack(topo, trace, partition, params, configs)
+        assert len(runs) == 4
+        for member, config, run in zip(params, configs, runs):
+            single = run_online(topo, trace, partition, member, config)
+            np.testing.assert_array_equal(run.log.loads, single.log.loads)
+            np.testing.assert_array_equal(run.log.costs, single.log.costs)
+            np.testing.assert_array_equal(run.log.zones, single.log.zones)
+            np.testing.assert_array_equal(run.policies, single.policies)
+            np.testing.assert_array_equal(run.zone_policies, single.zone_policies)
+            assert run.log.rho0 == member.rho0
+            assert run.log.support_loss_events == single.log.support_loss_events
+        assert runs[-1].log.support_loss_events > 0
+
+    def test_policies_kept_only_where_asked(self, rng):
+        topo = make_random_topology(rng, 5, 2)
+        trace = toy_trace(rng.uniform(0.0, 0.5, (4, 5)))
+        params = [CostParams(alpha=1, rho0=0.9)] * 2
+        configs = [LearnerConfig(eta=0.5), LearnerConfig(eta=0.5, keep_policies=True)]
+        runs = run_online_stack(topo, trace, build_partition(4, 2, 1), params, configs)
+        assert runs[0].policies is None and runs[1].policies.shape == (4, 2, 5)
+
+    def test_members_must_share_alpha(self, rng):
+        topo = make_random_topology(rng, 5, 2)
+        trace = toy_trace(rng.uniform(0.0, 0.5, (4, 5)))
+        partition = build_partition(4, 2, 1)
+        params = [CostParams(alpha=1, rho0=0.9), CostParams(alpha=2, rho0=0.9)]
+        with pytest.raises(ValueError, match="share alpha"):
+            run_online_stack(topo, trace, partition, params, [LearnerConfig(eta=0.5)] * 2)
+        with pytest.raises(ValueError, match="one config per cost"):
+            run_online_stack(topo, trace, partition, params[:1], [LearnerConfig(eta=0.5)] * 2)

@@ -9,6 +9,7 @@ from assoclearn import (
     load_trace_csv,
     save_trace_csv,
 )
+from assoclearn.traffic import _read_columns, _read_rows
 
 
 class TestPartition:
@@ -169,3 +170,59 @@ class TestTraceCsv:
         path.write_text("5,1,1.0\n")
         with pytest.raises(ValueError):
             load_trace_csv(path, n_locations=1, horizon=3)
+
+
+class TestTraceCsvFastPath:
+    """np.loadtxt reads well-formed files; the checked row loop reads the rest."""
+
+    def test_fast_path_matches_row_loop_bit_for_bit(self, tmp_path):
+        profile = SyntheticProfile(slots_per_day=24, sigma=0.5)
+        demand = generate_synthetic(30, 240, seed=5, profile=profile).demand.copy()
+        demand[::7, ::3] = 0.0  # rows the file omits
+        demand[1, 2] = 5e-324  # subnormal
+        path = tmp_path / "trace.csv"
+        save_trace_csv(TrafficTrace(demand=demand), path)
+        fast = _read_columns(path)
+        assert fast is not None
+        for got, want in zip(fast, _read_rows(path, 30, None)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        loaded = load_trace_csv(path, n_locations=30)
+        assert loaded.demand.tobytes() == demand.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, fast",
+        [
+            ("t,location_id,intensity\n1,2,0.25\n2,1,1.5\n", True),
+            ("1,2,0.25\r\n\r\n2,1,1.5\r\n", True),  # no header, CRLF, a blank line
+            ('"1","2",0.25\n2,1,"1.5"\n', False),  # quoted fields
+            ("0_1,2,0.2_5\n2,1,1.5\n", False),  # digit separators
+            ('"t","location_id","intensity"\n1,2,0.25\n2,1,1.5\n', False),  # quoted header
+        ],
+    )
+    def test_both_readers_parse_as_the_row_loop(self, tmp_path, body, fast):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(body.encode())
+        assert (_read_columns(path) is not None) == fast
+        expected = np.zeros((12, 3))
+        expected[0, 1], expected[1, 0] = 0.25, 1.5
+        assert load_trace_csv(path, n_locations=3, horizon=12).demand.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("t,location_id,intensity\n1,1,1.0\n1,2,nan\n", "line 3: intensity nan"),
+            ("1,1,1.0\n2,1,inf\n", "line 2: intensity inf"),
+            ("1,1,1.0\n2,1,-0.5\n", "line 2: intensity -0.5"),
+            ("1,1,1.0\n1,4,1.0\n", "line 2: location_id 4 outside 1..3"),
+            ("1,1,1.0\n\n0,1,1.0\n", "line 3: slot id 0 must be >= 1"),
+            ("1,1,1.0\n13,1,1.0\n", "line 2: slot id 13 exceeds horizon 12"),
+            ("1,1,1.0\n2,2,1.0\n1,1,2.0\n", "line 3: duplicate t=1, location_id=1 of line 1"),
+            ("1,1,1.0\nt,location_id,intensity\n", "line 2: non-numeric field"),
+        ],
+    )
+    def test_values_loadtxt_parses_still_raise_naming_the_line(self, tmp_path, body, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            load_trace_csv(path, n_locations=3, horizon=12)
