@@ -295,7 +295,11 @@ def _finite(value):
 
 def _write_json(path: Path, payload: dict) -> Path:
     """Standard JSON: a non-finite float, such as an overflowed bound, is written as null."""
-    path.write_text(json.dumps(_finite(payload), sort_keys=True, indent=1, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:  # only a payload holding a non-finite float pays for the walk
+        text = json.dumps(_finite(payload), sort_keys=True, indent=1, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

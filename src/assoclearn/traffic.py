@@ -18,17 +18,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TrafficTrace:
-    """demand[t-1, i] is the intensity requested at location i during slot t."""
+    """demand[t-1, i] is the intensity at location i in slot t; a caller's array is copied."""
 
     demand: np.ndarray  # (horizon, n_locations), packets/second, >= 0
 
-    def __post_init__(self):
-        demand = np.asarray(self.demand, dtype=float)
+    def __post_init__(self, copy: bool = True):
+        demand = np.array(self.demand, dtype=float, copy=copy)
         if demand.ndim != 2:
             raise ValueError("demand must be a horizon x n_locations matrix")
         if not np.all(np.isfinite(demand)) or np.any(demand < 0):
             raise ValueError("demand entries must be finite and non-negative")
-        demand = demand.copy()
         demand.setflags(write=False)
         object.__setattr__(self, "demand", demand)
 
@@ -43,6 +42,14 @@ class TrafficTrace:
     @property
     def max_intensity(self) -> float:
         return float(self.demand.max()) if self.demand.size else 0.0
+
+
+def _adopt(demand: np.ndarray) -> TrafficTrace:
+    """A trace holding `demand` itself, a float array this module built and nothing else holds."""
+    trace = object.__new__(TrafficTrace)
+    object.__setattr__(trace, "demand", demand)
+    trace.__post_init__(copy=False)  # the checks, without the copy
+    return trace
 
 
 @dataclass(frozen=True)
@@ -147,22 +154,27 @@ def generate_synthetic(
         shape = 1.0 + profile.amplitude * np.sin(2.0 * np.pi * day_phase)
     else:
         shape = np.ones(horizon)
-    noise = rng.uniform(-profile.sigma, profile.sigma, (horizon, n_locations))
-    demand = np.maximum(0.0, base[None, :] * shape[:, None] * (1.0 + noise))
-    return TrafficTrace(demand=demand)
+    demand = rng.uniform(-profile.sigma, profile.sigma, (horizon, n_locations))  # one buffer: noise,
+    demand += 1.0  # then 1 + noise, then (base * shape) * (1 + noise), rounded in that order
+    rows = max(1, 2**16 // n_locations)  # base * shape is formed in row blocks of about 2**16 entries
+    for start in range(0, horizon, rows):
+        demand[start : start + rows] *= base[None, :] * shape[start : start + rows, None]
+    np.maximum(0.0, demand, out=demand)
+    return _adopt(demand)
 
 
 TRACE_HEADER = ("t", "location_id", "intensity")
 
 
 def save_trace_csv(trace: TrafficTrace, path) -> None:
-    """Write `t,location_id,intensity` rows (1-based ids), zeros omitted."""
+    """Write `t,location_id,intensity` rows (1-based ids), zeros omitted, as csv.writer would."""
+    ts, locs = np.nonzero(trace.demand)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        ts, locs = np.nonzero(trace.demand)
-        for t, i in zip(ts, locs):
-            writer.writerow([t + 1, i + 1, repr(float(trace.demand[t, i]))])
+        fh.write(",".join(TRACE_HEADER) + "\r\n")  # CRLF line ends, floats by repr
+        for start in range(0, ts.size, 2**12):  # 2**12 rows at a time keep the Python lists small
+            t, i = ts[start : start + 2**12], locs[start : start + 2**12]
+            rows = zip((t + 1).tolist(), (i + 1).tolist(), trace.demand[t, i].tolist())
+            fh.write("".join(f"{a},{b},{v!r}\r\n" for a, b, v in rows))
 
 
 def load_trace_csv(path, n_locations: int, horizon: int | None = None) -> TrafficTrace:
@@ -182,7 +194,7 @@ def load_trace_csv(path, n_locations: int, horizon: int | None = None) -> Traffi
     slots, locs, values = columns
     demand = np.zeros((slots.max() if horizon is None else horizon, n_locations))
     demand[slots - 1, locs - 1] = values
-    return TrafficTrace(demand=demand)
+    return _adopt(demand)
 
 
 def _read_columns(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from assoclearn import Topology, save_topology_json
-from assoclearn.cli import SCHEMA, main, parse_config
+from assoclearn.cli import SCHEMA, _write_json, main, parse_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -353,6 +353,27 @@ class TestValidateAndErrors:
         config = write_json(tmp_path / "bad_topology.json", doc)
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert "config error: key 'topology.path'" in capsys.readouterr().err
+
+
+class TestWriteJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        payload = {
+            "bound": math.inf,
+            "nested": {"gap": math.nan, "values": [1.0, -math.inf, (2.5, math.nan)]},
+            "rows": [{"x": math.inf}, 0.5],
+        }
+        path = _write_json(tmp_path / "out.json", payload)
+        assert strict_json_outputs(tmp_path)["out.json"] == {
+            "bound": None,
+            "nested": {"gap": None, "values": [1.0, None, [2.5, None]]},
+            "rows": [{"x": None}, 0.5],
+        }
+        assert path.read_text().endswith("}\n")
+
+    def test_finite_payload_is_written_as_json_dumps_writes_it(self, tmp_path):
+        payload = {"b": [1.0, 2, (3.5,)], "a": {"c": None, "d": "x"}}
+        path = _write_json(tmp_path / "out.json", payload)
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 class TestGenerators:

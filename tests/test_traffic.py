@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from assoclearn import (
     load_trace_csv,
     save_trace_csv,
 )
-from assoclearn.traffic import _read_columns, _read_rows
+from assoclearn.traffic import TRACE_HEADER, _adopt, _read_columns, _read_rows
 
 
 class TestPartition:
@@ -118,6 +121,72 @@ class TestSynthetic:
         trace = generate_synthetic(5, 60, seed=1, profile=profile)
         assert (trace.demand >= 0).all()
 
+    @pytest.mark.parametrize(
+        "shape, sigma", [("sinusoidal", 0.3), ("flat", 0.3), ("sinusoidal", 0.0), ("flat", 0.0)]
+    )
+    def test_matches_out_of_place_formula_bit_for_bit(self, shape, sigma):
+        # 300 locations make row blocks of 218 slots, the last one partial
+        n_locations, horizon, seed = 300, 480, 17
+        profile = SyntheticProfile(slots_per_day=48, shape=shape, amplitude=1.0, sigma=sigma)
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(profile.base_min, profile.base_max, n_locations)
+        day_phase = (np.arange(horizon) % 48) / 48
+        day = 1.0 + np.sin(2.0 * np.pi * day_phase) if shape == "sinusoidal" else np.ones(horizon)
+        noise = rng.uniform(-sigma, sigma, (horizon, n_locations))
+        expected = np.maximum(0.0, base[None, :] * day[:, None] * (1.0 + noise))
+        trace = generate_synthetic(n_locations, horizon, seed=seed, profile=profile)
+        assert trace.demand.tobytes() == expected.tobytes()
+
+    def test_demand_is_read_only(self):
+        trace = generate_synthetic(4, 24, seed=2, profile=SyntheticProfile(slots_per_day=12))
+        assert not trace.demand.flags.writeable
+        with pytest.raises(ValueError):
+            trace.demand[0, 0] = 1.0
+
+    def test_peak_memory_near_the_trace_size(self):
+        profile = SyntheticProfile(slots_per_day=40)
+        generate_synthetic(20, 40, seed=1, profile=profile)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            trace = generate_synthetic(2000, 400, seed=1, profile=profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * trace.demand.nbytes
+
+
+class TestTraceOwnership:
+    def test_writable_input_is_copied(self):
+        a = np.ones((3, 2))
+        trace = TrafficTrace(demand=a)
+        a[0, 0] = 9.0
+        assert trace.demand[0, 0] == 1.0
+        assert not np.shares_memory(trace.demand, a)
+
+    def test_read_only_owning_input_is_copied(self):
+        a = np.ones((3, 2))
+        a.setflags(write=False)
+        trace = TrafficTrace(demand=a)
+        a.setflags(write=True)  # an array that owns its data may be made writable again
+        a[0, 0] = 9.0
+        assert trace.demand[0, 0] == 1.0
+        assert not trace.demand.flags.writeable
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_adopted_arrays_are_still_checked(self, bad):
+        demand = np.ones((2, 2))
+        demand[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _adopt(demand)
+        with pytest.raises(ValueError, match="horizon x n_locations"):
+            _adopt(np.ones(3))
+
+    def test_adopted_array_is_kept_read_only(self):
+        demand = np.ones((2, 3))
+        trace = _adopt(demand)
+        assert trace.demand is demand
+        assert not demand.flags.writeable
+
 
 class TestTraceCsv:
     def test_empty_body_declared_shape(self, tmp_path):
@@ -170,6 +239,29 @@ class TestTraceCsv:
         path.write_text("5,1,1.0\n")
         with pytest.raises(ValueError):
             load_trace_csv(path, n_locations=1, horizon=3)
+
+    def test_loaded_demand_is_read_only(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("1,1,2.0\n2,2,4.0\n")
+        demand = load_trace_csv(path, n_locations=2).demand
+        assert not demand.flags.writeable
+
+    def test_save_matches_csv_writer_byte_for_byte(self, tmp_path):
+        demand = generate_synthetic(9, 40, seed=3, profile=SyntheticProfile(slots_per_day=8)).demand.copy()
+        demand[::3, ::2] = 0.0  # rows the file omits
+        demand[2, 1] = 5e-324  # subnormal
+        demand[4, 4] = 1e16  # repr switches to exponent notation
+        trace = TrafficTrace(demand=demand)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_HEADER)
+            ts, locs = np.nonzero(trace.demand)
+            for t, i in zip(ts, locs):
+                writer.writerow([t + 1, i + 1, repr(float(trace.demand[t, i]))])
+        path = tmp_path / "trace.csv"
+        save_trace_csv(trace, path)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestTraceCsvFastPath:
