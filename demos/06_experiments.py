@@ -3,9 +3,9 @@
 Everything the `assoclearn` CLI does is a thin wrapper over
 `parse_config`, `evaluate`, `run_experiment`, and `run_sweep`.
 `evaluate` returns the online run, the benchmarks and the regret report
-without writing a file; `run_experiment` writes them. Outputs are pure
-functions of config plus seed, and the manifest records a content hash
-for every file written.
+without writing a file; `run_experiment` writes such an evaluation and
+computes nothing. Outputs are pure functions of config plus seed, and the
+manifest records a content hash for every file written.
 
 Equivalent shell commands:
     assoclearn validate --config config.json
@@ -56,17 +56,14 @@ workdir = Path(tempfile.mkdtemp(prefix="assoclearn_demo_"))
 config = parse_config(config_doc)
 topology = build_experiment_topology(config)
 trace = build_experiment_trace(config, topology)
-solved = {}  # hindsight solutions, shared by every call that passes this dict
-evaluation = evaluate(config, topology, trace, solved)
+evaluation = evaluate(config, topology, trace)
 print("single run, in memory:")
 print(f"  auto-resolved eta = {evaluation.report.eta_used:.5f}")
 print(f"  regret = {evaluation.report.regret:.4f}")
 print(f"  benchmarks = {sorted(evaluation.benchmarks)}")
 
-# the same run written to disk; the periodic benchmark is not solved again
-run_experiment(
-    config, workdir / "single", raw_config=config_doc, inputs=(topology, trace), solved=solved
-)
+# the same evaluation written to disk; nothing is learned or solved again
+run_experiment(config, evaluation, workdir / "single", raw_config=config_doc)
 manifest = json.loads((workdir / "single" / "manifest.json").read_text())
 print(f"single run written to {workdir / 'single'}")
 for entry in manifest["outputs"]:

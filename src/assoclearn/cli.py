@@ -1,14 +1,13 @@
-"""Experiment runner: configuration loading, single runs, and parameter sweeps.
+"""Experiment runner: configuration parsing, evaluation, writing and the command line.
 
 A single JSON document describes one experiment: where the topology and
 the demand trace come from, the zone calendar, cost parameters, the step
 size (a number or "auto" for the bound-minimizing value), and optional
-sweep lists. `evaluate` turns a config and its inputs into the online
-run, the benchmarks and the regret report in memory; `run_experiment`
-writes them and `run_sweep` writes one per combination. Outputs are
-deterministic functions of config plus seed: per-slot run log as CSV,
-regret report and benchmark solution as JSON, and a manifest listing
-every written file with its content hash.
+sweep lists. `evaluate` computes a config's online run, its benchmarks
+(each one `solve_periodic_static` call) and its regret report in memory.
+`run_experiment` only writes them, as deterministic functions of config
+plus seed: a per-slot run log CSV, regret and benchmark JSON, and a
+manifest hashing every file. `run_sweep` does both per combination.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -30,12 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import (
-    SolverConfig,
-    solve_dynamic,
-    solve_periodic_static,
-    solve_static,
-)
+from .benchmark import SolverConfig, solve_periodic_static
 from .cost import CostParams
 from .learner import LearnerConfig, OnlineRun, run_online, run_online_stack
 from .metrics import RegretReport, peak_bound, regret, runlog_to_csv
@@ -333,7 +327,8 @@ def learn(configs: list, topology: Topology, trace: TrafficTrace, learned: dict)
 
     Configs that differ only in rho0, psi and eta advance as the members of
     one `run_online_stack` call, whose runs equal their single runs bit for
-    bit. A calendar the trace does not fit is left for `evaluate` to report.
+    bit. A stack that raises, from a calendar the trace does not fit or a
+    step that overflows, is left unlearned for `evaluate` to report.
     """
     stacks = {}
     for config in configs:
@@ -342,12 +337,11 @@ def learn(configs: list, topology: Topology, trace: TrafficTrace, learned: dict)
     for (zones, slots_per_zone, _), members in stacks.items():
         try:
             partition = build_partition(trace.horizon, zones, slots_per_zone)
+            steps = [_step(config, topology, trace) for config in members.values()]
+            learners = [LearnerConfig(eta=eta) for eta, _ in steps]
+            runs = run_online_stack(topology, trace, partition, [c.cost for c in members.values()], learners)
         except ValueError:
             continue
-        steps = [_step(config, topology, trace) for config in members.values()]
-        costs = [config.cost for config in members.values()]
-        learners = [LearnerConfig(eta=eta) for eta, _ in steps]
-        runs = run_online_stack(topology, trace, partition, costs, learners)
         learned.update((key, (run, *step)) for key, run, step in zip(members, runs, steps))
 
 
@@ -360,9 +354,11 @@ def evaluate(
 ) -> Evaluation:
     """Solve the benchmarks the config asks for, learn online and compute regret; write nothing.
 
-    Hindsight solutions are kept in `solved` under a key of everything they
-    depend on (never eta), so calls that pass one dict and have equal keys
-    share one solve. Online runs are kept in `learned` the same way, with the
+    Each benchmark is `solve_periodic_static` on a calendar: the config's,
+    one window (static) or one window per slot (dynamic). Solutions are kept
+    in `solved` under (calendar, cost, solver), never eta, so calls that pass
+    one dict share a solve, as do a periodic calendar and an equal static or
+    dynamic one. Online runs are kept in `learned` the same way, with the
     step size and its note; `learn` fills it for many configs at once. An eta
     of "auto" becomes the bound-minimizing step, or 1.0 with a note when that
     step is not positive and finite.
@@ -373,18 +369,17 @@ def evaluate(
         raise ConfigError(f"key 'partition': {exc}") from None
 
     solved = {} if solved is None else solved
-    common = (config.cost, config.solver)
-    wanted = {"benchmark": (solve_periodic_static, partition)}
+    wanted = {"benchmark": partition}
     if config.benchmark_static:
-        wanted["benchmark_static"] = (solve_static,)
+        wanted["benchmark_static"] = build_partition(trace.horizon, 1, trace.horizon)
     if config.benchmark_dynamic:
-        wanted["benchmark_dynamic"] = (solve_dynamic,)
+        wanted["benchmark_dynamic"] = build_partition(trace.horizon, trace.horizon, 1)
     benchmarks = {}
-    for name, (solve, *extra) in wanted.items():
-        key = (name, *extra, *common)
+    for name, windows in wanted.items():
+        key = windows, config.cost, config.solver
         if key not in solved:
             try:
-                solved[key] = solve(topology, trace, *extra, *common)
+                solved[key] = solve_periodic_static(topology, trace, windows, config.cost, config.solver)
             except ValueError as exc:
                 raise ConfigError(f"key 'traffic': {exc}") from None
         benchmarks[name] = solved[key]
@@ -393,7 +388,10 @@ def evaluate(
     key = _learned_key(config)
     if key not in learned:
         eta, eta_note = _step(config, topology, trace)
-        run = run_online(topology, trace, partition, config.cost, LearnerConfig(eta=eta))
+        try:
+            run = run_online(topology, trace, partition, config.cost, LearnerConfig(eta=eta))
+        except ValueError as exc:
+            raise ConfigError(f"key 'eta': {exc}") from None
         learned[key] = run, eta, eta_note
     run, eta, eta_note = learned[key]
     report = regret(
@@ -409,27 +407,9 @@ def evaluate(
     return Evaluation(run=run, report=report, eta_note=eta_note, benchmarks=benchmarks)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir,
-    raw_config: dict | None = None,
-    inputs: tuple[Topology, TrafficTrace] | None = None,
-    solved: dict | None = None,
-    learned: dict | None = None,
-) -> Evaluation:
-    """`evaluate` one configuration, then write its artifacts into out_dir.
-
-    A sweep passes the (topology, trace) it built once as inputs, and one
-    `solved` and one `learned` dict for all its combinations (see
-    `evaluate`). out_dir is made only once the evaluation succeeds;
-    manifest.json hashes every other file.
-    """
-    if inputs is None:
-        topology = build_experiment_topology(config)
-        inputs = topology, build_experiment_trace(config, topology)
-    evaluation = evaluate(config, *inputs, solved, learned)
+def run_experiment(config: ExperimentConfig, evaluation: Evaluation, out_dir, raw_config: dict | None = None):
+    """Write what `evaluate` returned for config into out_dir; manifest.json hashes every other file."""
     report = evaluation.report
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runlog_to_csv(evaluation.run.log, out / "runlog.csv")
@@ -449,7 +429,7 @@ def run_experiment(
             "psi": config.cost.psi,
             "eta": report.eta_used,
             "eta_note": evaluation.eta_note,
-            "horizon": inputs[1].horizon,
+            "horizon": evaluation.run.log.horizon,
         },
         "summary": {
             "total_online_cost": report.total_online_cost,
@@ -466,7 +446,6 @@ def run_experiment(
         ],
     }
     _write_json(out / "manifest.json", manifest)
-    return evaluation
 
 
 SWEEP_COLUMNS = [
@@ -502,11 +481,12 @@ def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, combos: l
         try:
             if isinstance(sub, Exception):
                 raise sub
-            out = out_dir / f"K{zones}_rho{rho0}_alpha{alpha}_eta{eta}"
-            report = run_experiment(sub, out, inputs=inputs, solved=solved, learned=learned).report
+            evaluation = evaluate(sub, *inputs, solved, learned)
+            run_experiment(sub, evaluation, out_dir / f"K{zones}_rho{rho0}_alpha{alpha}_eta{eta}")
         except Exception as exc:  # recorded per row; the sweep keeps going
             rows.append([zones, rho0, alpha, eta, "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
             continue
+        report = evaluation.report
         numbers = report.total_online_cost, report.total_benchmark_cost, report.regret, report.bound_at_eta
         violations = report.violations_online[0], report.violations_benchmark[0]
         rows.append([zones, rho0, alpha, report.eta_used, *map(repr, numbers), *violations, ""])
@@ -587,7 +567,9 @@ def main(argv=None) -> int:
     try:
         config, raw = load_config(args.config, getattr(args, "seed", None))
         if args.command == "run":
-            run_experiment(config, args.out, raw_config=raw)
+            topology = build_experiment_topology(config)
+            evaluation = evaluate(config, topology, build_experiment_trace(config, topology))
+            run_experiment(config, evaluation, args.out, raw_config=raw)
         elif args.command == "sweep":
             run_sweep(config, args.out, jobs=max(1, args.jobs))
         elif args.command == "gen-topology":

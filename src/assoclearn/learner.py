@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cost import CostParams, load_slope, penalized_values
+from .cost import CostParams, lipschitz_bound, load_slope, penalized_values
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace
 
@@ -170,7 +170,9 @@ def run_online_stack(
     the support. Loads come from the policies scattered back to a dense
     stack, so every output matches a slot-by-slot dense replay bit for bit.
     A member's support losses are its link count minus its final policies'
-    nonzero count.
+    nonzero count. A member whose eta times `lipschitz_bound` at the trace's
+    peak is not finite raises: a step could take a whole column of
+    log-weights to -inf, and its softmax to NaN.
     """
     if trace.n_locations != topology.n_locations:
         raise ValueError("trace and topology disagree on the number of locations")
@@ -179,6 +181,9 @@ def run_online_stack(
     alpha = params[0].alpha
     if any(p.alpha != alpha for p in params):
         raise ValueError("the members of a stack must share alpha")
+    for member, config in zip(params, configs):
+        if not np.isfinite(config.eta * lipschitz_bound(topology, trace.max_intensity, member)):
+            raise ValueError(f"eta {config.eta} times the trace's gradient bound overflows a float")
 
     members = len(configs)
     periods, n_zones, width = partition.periods, partition.zones, partition.slots_per_zone

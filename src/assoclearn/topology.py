@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+MIN_DISTANCE = 1.0  # distances clamp here, so a gain stays finite at an AP's own position
+
 
 def shannon_rate(
     signal_gain,
@@ -70,7 +72,6 @@ class RadioConfig:
     path_loss_exponent: float = 3.0
     rate_threshold_bps: float = 0.0
     omega: float = 1.0
-    min_distance: float = 1.0
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.ap_positions, dtype=float))
@@ -83,8 +84,11 @@ class RadioConfig:
             raise ValueError("ap_positions must hold (x, y) pairs and ap_power_dbm numbers")
         if pos.shape[0] != pwr.shape[0]:
             raise ValueError("ap_positions and ap_power_dbm disagree on AP count")
-        if self.bandwidth_hz <= 0 or self.omega <= 0 or self.min_distance <= 0:
+        if self.bandwidth_hz <= 0 or self.omega <= 0:
             raise ValueError("physical quantities must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(dbm_to_watts(np.append(pwr, self.noise_dbm_per_hz))).all():
+                raise ValueError("ap_power_dbm and noise_dbm_per_hz must be finite in watts")
         if self.path_loss_exponent < 2:
             raise ValueError("path_loss_exponent must be >= 2")
         if self.rate_threshold_bps < 0:
@@ -168,7 +172,7 @@ def grid_positions(nx: int, ny: int, spacing: float = 1.0) -> np.ndarray:
 def build_topology(config: RadioConfig, location_positions: np.ndarray) -> Topology:
     """Construct a topology from geometry.
 
-    Gains follow a clamped power law G = max(d, min_distance)**(-path_loss_exponent),
+    Gains follow a clamped power law G = max(d, MIN_DISTANCE)**(-path_loss_exponent),
     link rates come from `shannon_rate` with every other AP as an interferer,
     and links whose rate falls below the threshold are pruned. A location that
     would lose all links keeps its single strongest one instead.
@@ -181,7 +185,7 @@ def build_topology(config: RadioConfig, location_positions: np.ndarray) -> Topol
     d = np.linalg.norm(
         config.ap_positions[:, None, :] - positions[None, :, :], axis=2
     )
-    gains = np.maximum(d, config.min_distance) ** (-config.path_loss_exponent)
+    gains = np.maximum(d, MIN_DISTANCE) ** (-config.path_loss_exponent)
     powers = config.ap_power_watts
     # AP k interferes on the links of every AP j != k; a zero gain stands in
     # for k = j, so each link sums its interferers in AP order

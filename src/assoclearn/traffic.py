@@ -192,7 +192,11 @@ def load_trace_csv(path, n_locations: int, horizon: int | None = None) -> Traffi
     if columns is None or not _clean(*columns, n_locations, horizon):
         columns = _read_rows(path, n_locations, horizon)
     slots, locs, values = columns
-    demand = np.zeros((slots.max() if horizon is None else horizon, n_locations))
+    rows = slots.max() if horizon is None else horizon
+    try:
+        demand = np.zeros((rows, n_locations))
+    except MemoryError:
+        raise ValueError(f"slot id {rows}: a {rows} x {n_locations} demand matrix is too large") from None
     demand[slots - 1, locs - 1] = values
     return _adopt(demand)
 
@@ -219,7 +223,14 @@ def _clean(slots, locs, values, n_locations: int, horizon: int | None) -> bool:
         return False
     if not (np.isfinite(values).all() and (values >= 0).all()):
         return False
-    return np.bincount((slots - 1) * n_locations + locs - 1).max() <= 1
+    return _repeated(slots, locs) is None
+
+
+def _repeated(slots, locs) -> tuple[int, int] | None:
+    """Rows of the first two uses of the smallest repeated (t, location) pair, or None."""
+    order = np.lexsort((locs, slots))  # stable, so equal pairs keep their row order
+    hits = np.flatnonzero((np.diff(slots[order]) == 0) & (np.diff(locs[order]) == 0))
+    return (int(order[hits[0]]), int(order[hits[0] + 1])) if hits.size else None
 
 
 def _read_rows(path, n_locations: int, horizon: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,15 +265,12 @@ def _read_rows(path, n_locations: int, horizon: int | None) -> tuple[np.ndarray,
             locs.append(loc)
             values.append(value)
 
-    if horizon is None:
-        if not slots:
-            raise ValueError("cannot infer horizon from an empty trace file")
-        horizon = max(slots)
+    if horizon is None and not slots:
+        raise ValueError("cannot infer horizon from an empty trace file")
     columns = np.frombuffer(slots, dtype=np.int64), np.frombuffer(locs, dtype=np.int64)
-    cells = np.ravel_multi_index((columns[0] - 1, columns[1] - 1), (horizon, n_locations))
-    repeated = np.flatnonzero(np.bincount(cells) > 1)
-    if repeated.size:
-        first, again = np.flatnonzero(cells == repeated[0])[:2]
+    repeated = _repeated(*columns)
+    if repeated is not None:
+        first, again = repeated
         raise ValueError(
             f"line {lines[again]}: duplicate t={slots[again]}, location_id={locs[again]} "
             f"of line {lines[first]}"

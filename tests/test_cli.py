@@ -83,6 +83,22 @@ def fast_slow_setup(tmp_path):
     return write_json(tmp_path / "auto.json", doc)
 
 
+def overflowing_step_config(tmp_path, **extra):
+    """eta = 1e308 on unit rates under demand 5 to 6: eta times the gradient bound overflows."""
+    topo_path = tmp_path / "topology.json"
+    save_topology_json(Topology(service_rate=np.ones((2, 2))), topo_path)
+    profile = {"slots_per_day": 6, "base_min": 5.0, "base_max": 6.0}
+    doc = {
+        "topology": {"source": "file", "path": str(topo_path)},
+        "traffic": {"source": "synthetic", "horizon": 12, "profile": profile},
+        "partition": {"zones": 2, "slots_per_zone": 3},
+        "cost": {"alpha": 0.0},
+        "eta": 1e308,
+        **extra,
+    }
+    return write_json(tmp_path / "steep_step.json", doc)
+
+
 class TestRun:
     def test_minimal_run_writes_three_outputs_plus_manifest(self, tmp_path):
         config = minimal_config(tmp_path)
@@ -160,6 +176,46 @@ class TestRun:
         names = {p.name for p in out.iterdir()}
         assert "benchmark_static.json" in names
         assert "benchmark_dynamic.json" in names
+
+    @pytest.mark.parametrize("kind, zones, width", [("static", 1, 12), ("dynamic", 12, 1)])
+    def test_benchmark_on_the_same_calendar_shares_the_solve(self, tmp_path, monkeypatch, kind, zones, width):
+        from assoclearn import benchmark, cli
+
+        solves = []
+        for module, name in [(cli, "solve_periodic_static"), (benchmark, "solve_windows")]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=original, n=name: solves.append(n) or f(*a))
+        partition = {"zones": zones, "slots_per_zone": width}
+        config = minimal_config(tmp_path, benchmarks={kind: True}, partition=partition)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert solves == ["solve_periodic_static", "solve_windows"]
+        assert (out / "benchmark.json").read_bytes() == (out / f"benchmark_{kind}.json").read_bytes()
+
+    def test_run_experiment_only_writes_the_evaluation(self, tmp_path, monkeypatch):
+        from assoclearn import benchmark, cli, learner
+
+        benchmarks, partition = {"static": True, "dynamic": True}, {"zones": 2, "slots_per_zone": 6}
+        path = minimal_config(tmp_path, benchmarks=benchmarks, partition=partition)
+        ran = tmp_path / "run"
+        assert main(["run", "--config", path, "--out", str(ran)]) == 0
+        config, raw = cli.load_config(path)
+        topology = cli.build_experiment_topology(config)
+        evaluation = cli.evaluate(config, topology, cli.build_experiment_trace(config, topology))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment solved or learned")
+
+        for module, name in [
+            (cli, "solve_periodic_static"), (cli, "run_online"), (cli, "run_online_stack"), (cli, "regret"),
+            (benchmark, "solve_windows"), (learner, "run_online_stack"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "written"
+        cli.run_experiment(config, evaluation, out, raw_config=raw)
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ran.iterdir())
+        for p in out.iterdir():
+            assert p.read_bytes() == (ran / p.name).read_bytes(), p.name
 
 
 class TestValidateAndErrors:
@@ -302,14 +358,38 @@ class TestValidateAndErrors:
                 assert f"`{prefix}{key}`" in section, prefix + key
 
     def test_unbuildable_topology_is_config_error(self, tmp_path, capsys):
-        # an infinite transmit power passes the radio checks, but not the
-        # finite-rate check of the topology it builds
+        # 4000 dBm is an infinite transmit power in watts, which the radio checks reject
         doc = json.loads(Path(minimal_config(tmp_path)).read_text())
         doc["topology"]["radio"]["ap_power_dbm"] = [4000.0, 33.0]
         config = write_json(tmp_path / "loud.json", doc)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert "config error: key 'topology.radio'" in capsys.readouterr().err
+
+    def test_unrepresentable_noise_level_is_config_error(self, tmp_path, capsys):
+        doc = json.loads(Path(minimal_config(tmp_path)).read_text())
+        doc["topology"]["radio"]["noise_dbm_per_hz"] = 1e308
+        config = write_json(tmp_path / "noisy.json", doc)
+        assert main(["validate", "--config", config]) == 2
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error: key 'topology.radio'") == 2
+
+    def test_overflowing_step_is_config_error(self, tmp_path, capsys):
+        config = overflowing_step_config(tmp_path)
+        assert main(["validate", "--config", config]) == 0  # only the trace reveals it
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "config error: key 'eta': eta 1e+308" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_too_long_for_memory_is_config_error(self, tmp_path, capsys):
+        # slot 99,999,999,999 of 1,000 locations: a 728 TiB demand matrix
+        doc = json.loads(Path(fast_slow_setup(tmp_path)).read_text())
+        Path(doc["traffic"]["path"]).write_text("99999999999,1,1\n")
+        doc["traffic"]["n_locations"] = 1000
+        config = write_json(tmp_path / "far.json", doc)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: key 'traffic.path': slot id 99999999999" in capsys.readouterr().err
 
     def test_missing_section_names_key(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"seed": 1})
@@ -523,7 +603,7 @@ class TestSweep:
 
             monkeypatch.setattr(cli, name, wrapper)
 
-        for name in ("build_topology", "load_trace_csv", "solve_periodic_static", "solve_static"):
+        for name in ("build_topology", "load_trace_csv", "solve_periodic_static"):
             counted(name)
         config = self.csv_sweep_config(
             tmp_path,
@@ -533,10 +613,9 @@ class TestSweep:
         calls.clear()  # writing the trace built the topology once
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert len(self.read_rows(tmp_path / "out")) == 8
-        # the benchmarks depend on (zones, rho0) and on rho0 alone, never on eta
-        assert calls == {
-            "build_topology": 1, "load_trace_csv": 1, "solve_periodic_static": 4, "solve_static": 2,
-        }
+        # the periodic benchmarks depend on (zones, rho0), the static ones on rho0 alone, never on eta:
+        # 4 periodic and 2 static solves
+        assert calls == {"build_topology": 1, "load_trace_csv": 1, "solve_periodic_static": 6}
 
     def test_combination_files_match_single_runs(self, tmp_path):
         config = self.csv_sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
@@ -666,6 +745,22 @@ class TestSweep:
         assert first.benchmarks["benchmark"] is second.benchmarks["benchmark"]
         assert (first.report.eta_used, second.report.eta_used) == (0.5, 0.2)
         assert first.report.regret != second.report.regret
+
+    def test_overflowing_step_fails_its_row_only(self, tmp_path):
+        # eta 1e308 is learned in one stack with eta 0.5; the stack raises, and
+        # each member is then learned alone
+        config = overflowing_step_config(tmp_path, sweep={"eta": [1e308, 0.5]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        rows = self.read_rows(out)
+        assert "ConfigError: key 'eta'" in rows[0]["error"] and rows[1]["error"] == ""
+        doc = json.loads(Path(config).read_text())
+        del doc["sweep"]
+        single = write_json(tmp_path / "single.json", {**doc, "eta": 0.5})
+        assert main(["run", "--config", single, "--out", str(tmp_path / "single")]) == 0
+        combo = out / "K2_rho1.0_alpha0.0_eta0.5"
+        for name in ("benchmark.json", "runlog.csv", "regret.json"):
+            assert (combo / name).read_bytes() == (tmp_path / "single" / name).read_bytes(), name
 
     def test_failed_combination_recorded(self, tmp_path):
         # alpha=2 with rho0=1 is an invalid cost combination

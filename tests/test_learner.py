@@ -443,6 +443,21 @@ class TestRunOnlineStack:
         runs = run_online_stack(topo, trace, build_partition(4, 2, 1), params, configs)
         assert runs[0].policies is None and runs[1].policies.shape == (4, 2, 5)
 
+    def test_step_whose_product_with_the_gradient_bound_overflows_raises(self):
+        # L = 6 on unit rates under demand 6; eta * L = 6e308 would send whole
+        # columns of log-weights to -inf and the played costs to NaN
+        topo = Topology(service_rate=np.ones((2, 2)))
+        trace = toy_trace(np.full((6, 2), 6.0))
+        partition = build_partition(6, 2, 3)
+        params = CostParams(alpha=0.0)
+        with pytest.raises(ValueError, match=r"eta 1e\+308"):
+            run_online(topo, trace, partition, params, LearnerConfig(eta=1e308))
+        configs = [LearnerConfig(eta=0.5), LearnerConfig(eta=1e308)]
+        with pytest.raises(ValueError, match=r"eta 1e\+308"):
+            run_online_stack(topo, trace, partition, [params] * 2, configs)
+        run = run_online(topo, trace, partition, params, LearnerConfig(eta=1e300))
+        assert np.isfinite(run.log.costs).all()
+
     def test_members_must_share_alpha(self, rng):
         topo = make_random_topology(rng, 5, 2)
         trace = toy_trace(rng.uniform(0.0, 0.5, (4, 5)))

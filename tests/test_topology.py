@@ -146,6 +146,12 @@ class TestBuildTopology:
         with pytest.raises(ValueError, match="pairs"):
             RadioConfig(ap_positions=np.zeros((1, 2)), ap_power_dbm=np.array([[40.0]]))
 
+    @pytest.mark.parametrize("field, dbm", [("noise_dbm_per_hz", 1e308), ("ap_power_dbm", [40.0, 4000.0])])
+    def test_levels_must_be_finite_in_watts(self, field, dbm):
+        levels = {"ap_positions": np.zeros((2, 2)), "ap_power_dbm": np.array([40.0, 40.0]), field: dbm}
+        with pytest.raises(ValueError, match="finite in watts"):
+            RadioConfig(**levels)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             RadioConfig(ap_positions=np.empty((0, 2)), ap_power_dbm=np.empty(0))

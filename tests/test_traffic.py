@@ -234,6 +234,17 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=r"line 4: duplicate t=1, location_id=1 of line 2"):
             load_trace_csv(path, n_locations=1)
 
+    def test_far_slot_ids_are_checked_in_memory_of_the_rows(self, tmp_path):
+        # slot 99,999,999,999 of 1,000 locations: the demand matrix would take
+        # 728 TiB, and a count per (t, location) cell as much again
+        path = tmp_path / "trace.csv"
+        path.write_text("99999999999,1,1\n")
+        with pytest.raises(ValueError, match="slot id 99999999999: a 99999999999 x 1000 demand matrix"):
+            load_trace_csv(path, n_locations=1000)
+        path.write_text("99999999999,1,1\n99999999999,2,1\n99999999999,1,2\n")
+        with pytest.raises(ValueError, match="line 3: duplicate t=99999999999, location_id=1 of line 1"):
+            load_trace_csv(path, n_locations=1000)
+
     def test_horizon_too_small_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("5,1,1.0\n")
