@@ -8,7 +8,9 @@ takes the same steps. The online runner keeps one update thread per time
 zone; a thread starts from the uniform split at its window's first slot and
 otherwise advances from the log-policy and gradient it stored at the
 previous slot of the same window. Every window has the same length, so the
-threads advance in lock-step, one window rank at a time, as a stack.
+threads advance in lock-step, one window rank at a time, as a stack. A
+large stack is cut into cache-sized blocks of zones, which are independent
+and advance concurrently, one per usable core.
 
 The stack can also carry several members: runs on one trace and calendar
 that share alpha and differ in rho0, psi or eta, as the combinations of a
@@ -19,6 +21,7 @@ for bit (`run_online_stack`).
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -35,6 +38,13 @@ STACK_ENTRIES = 2**16
 # exp is slow near float underflow (-708) and at -inf. A weight below
 # exp(UNDERFLOW) ~ 1e-304 of its column's largest adds nothing to the total.
 UNDERFLOW = -700.0
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):  # Linux and some BSDs
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -169,10 +179,14 @@ def run_online_stack(
     in the compact layout of `Topology.neighbor_table`, M rows deep, -inf off
     the support. Loads come from the policies scattered back to a dense
     stack, so every output matches a slot-by-slot dense replay bit for bit.
+    Several blocks advance at once on a thread pool, one worker per usable
+    core (`usable_cores`); each writes only its own zones' slices of the
+    outputs, so the result does not depend on the worker count. A stack
+    that fits in one block runs on the calling thread.
     A member's support losses are its link count minus its final policies'
     nonzero count. A member whose eta times `lipschitz_bound` at the trace's
-    peak is not finite raises: a step could take a whole column of
-    log-weights to -inf, and its softmax to NaN.
+    peak times the window's rank count is not finite raises: its log-weights
+    could overflow to -inf, and a column of them all -inf softmaxes to NaN.
     """
     if trace.n_locations != topology.n_locations:
         raise ValueError("trace and topology disagree on the number of locations")
@@ -181,12 +195,14 @@ def run_online_stack(
     alpha = params[0].alpha
     if any(p.alpha != alpha for p in params):
         raise ValueError("the members of a stack must share alpha")
+    periods, n_zones, width = partition.periods, partition.zones, partition.slots_per_zone
+    ranks = periods * width
+    # relative to its column's largest, a log-weight falls by at most eta * L per rank
     for member, config in zip(params, configs):
-        if not np.isfinite(config.eta * lipschitz_bound(topology, trace.max_intensity, member)):
-            raise ValueError(f"eta {config.eta} times the trace's gradient bound overflows a float")
+        if not np.isfinite(config.eta * lipschitz_bound(topology, trace.max_intensity, member) * ranks):
+            raise ValueError(f"eta {config.eta} times the trace's gradient bound over a window overflows")
 
     members = len(configs)
-    periods, n_zones, width = partition.periods, partition.zones, partition.slots_per_zone
     n_aps, n_locations = topology.n_aps, topology.n_locations
     table = topology.neighbor_table
     inverse_rate = np.take_along_axis(topology.inverse_rate, table, axis=0)
@@ -207,35 +223,50 @@ def run_online_stack(
     # a thread's log-weights at its window's first slot: 0 on links, -inf on padding
     opening = np.where(np.take_along_axis(topology.support, table, axis=0), 0.0, -np.inf)
     block = max(1, STACK_ENTRIES // (members * table.size))
-    support_losses = np.zeros(members, dtype=np.int64)
+    links = topology.support.sum()
 
-    for start in range(0, n_zones, block):
-        zones = slice(start, min(start + block, n_zones))
-        count = zones.stop - start
+    def advance(zones: slice) -> np.ndarray:
+        """Run the threads of `zones` over every rank; their members' support losses."""
+        count = zones.stop - zones.start
         index = np.arange(count * members).reshape(count, members, 1, 1) * (n_aps * n_locations) + offsets
         dense = np.zeros((count, members, n_aps, n_locations))
         theta = np.broadcast_to(opening, (count, members, *opening.shape)).copy()
-        for rank in range(periods * width):
+        grad = np.empty_like(theta)
+        scratch = np.empty_like(theta)
+        for rank in range(ranks):
             p, s = divmod(rank, width)
             if rank:
-                theta -= eta * grad
+                theta -= np.multiply(eta, grad, out=scratch)
             pi, log_norm = column_softmax(theta)
             theta -= log_norm
 
             lam = demand[p, zones, s][:, None]  # (count, 1, n_locations)
-            dense.reshape(-1)[index] = pi * inverse_rate
+            dense.reshape(-1)[index] = np.multiply(pi, inverse_rate, out=scratch)
             slot_loads = (dense @ lam[..., None])[..., 0]
             calendar_loads[p, zones, s] = slot_loads
             if kept is not None:
                 played = np.zeros_like(dense)
                 played.reshape(-1)[index] = pi
                 partition.calendar(kept)[p, zones, s] = played
-            slope = np.take(load_slope(slot_loads, stacked), table, axis=-1)
-            grad = (slope * inverse_rate) * lam[..., None, :]
+            # mode "clip" (the indices are valid) writes straight into grad; "raise" buffers out
+            np.take(load_slope(slot_loads, stacked), table, axis=-1, out=grad, mode="clip")
+            grad *= inverse_rate
+            grad *= lam[..., None, :]
         zone_pi[zones].reshape(-1)[index] = pi
-        support_losses += count * topology.support.sum() - np.count_nonzero(pi, axis=(0, 2, 3))
+        return count * links - np.count_nonzero(pi, axis=(0, 2, 3))
 
-    zone_of_slot = partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(periods * width, axis=1))
+    blocks = [slice(start, min(start + block, n_zones)) for start in range(0, n_zones, block)]
+    workers = min(len(blocks), usable_cores())
+    if workers == 1:
+        support_losses = sum(map(advance, blocks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so one-block runs skip the import
+
+        # numpy's large array operations release the GIL, so the blocks advance at once
+        with ThreadPoolExecutor(workers) as pool:
+            support_losses = sum(pool.map(advance, blocks))
+
+    zone_of_slot = partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(ranks, axis=1))
     runs = []
     for m, (member, config) in enumerate(zip(params, configs)):
         member_loads = np.ascontiguousarray(loads[:, m])

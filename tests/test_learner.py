@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from assoclearn import (
     solve_periodic_static,
     validate_policy,
 )
+from assoclearn import learner
 from assoclearn.cost import grad_from_loads, load_slope
 from assoclearn.learner import STACK_ENTRIES, UNDERFLOW, run_online_stack
 from assoclearn.metrics import replay_benchmark
@@ -458,6 +462,18 @@ class TestRunOnlineStack:
         run = run_online(topo, trace, partition, params, LearnerConfig(eta=1e300))
         assert np.isfinite(run.log.costs).all()
 
+    def test_step_whose_sum_over_a_window_overflows_raises(self):
+        # eta * L = 1.2e308 is finite, but over the 12 ranks of the one window
+        # log-weights would overflow to -inf; L = 12 on unit/half rates under demand 6
+        topo = Topology(service_rate=np.array([[1.0, 0.5], [0.5, 1.0]]))
+        trace = toy_trace(np.full((12, 2), 6.0))
+        partition = build_partition(12, 1, 12)
+        params = CostParams(alpha=0.0)
+        with pytest.raises(ValueError, match=r"eta 1e\+307"):
+            run_online(topo, trace, partition, params, LearnerConfig(eta=1e307))
+        run = run_online(topo, trace, partition, params, LearnerConfig(eta=1e300))
+        assert np.isfinite(run.log.costs).all()
+
     def test_members_must_share_alpha(self, rng):
         topo = make_random_topology(rng, 5, 2)
         trace = toy_trace(rng.uniform(0.0, 0.5, (4, 5)))
@@ -467,3 +483,74 @@ class TestRunOnlineStack:
             run_online_stack(topo, trace, partition, params, [LearnerConfig(eta=0.5)] * 2)
         with pytest.raises(ValueError, match="one config per cost"):
             run_online_stack(topo, trace, partition, params[:1], [LearnerConfig(eta=0.5)] * 2)
+
+
+class TestBlockThreads:
+    """Blocks of zones advance on a thread pool; results never depend on it."""
+
+    @staticmethod
+    def blocked_stack(rng, monkeypatch):
+        # two members of a table under 3 * 40 entries, two zones per block: 5
+        # zones advance in blocks of 2, 2 and 1
+        topo = make_random_topology(rng, 40, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
+        monkeypatch.setattr(learner, "STACK_ENTRIES", 4 * topo.neighbor_table.size)
+        periods, zones, width = 2, 5, 3
+        horizon = periods * zones * width
+        trace = toy_trace(rng.uniform(0.0, 0.2, (horizon, 40)))
+        params = [CostParams(alpha=2, rho0=0.9), CostParams(alpha=2, rho0=0.5, psi=2.0)]
+        configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (1.0, 1e4)]
+        return topo, trace, build_partition(horizon, zones, width), params, configs
+
+    @pytest.mark.parametrize("cores", [2, 3])  # 3 blocks: two workers, or one per block
+    def test_worker_count_does_not_change_results(self, rng, monkeypatch, cores):
+        inputs = self.blocked_stack(rng, monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 1)
+        serial = run_online_stack(*inputs)
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(learner, "usable_cores", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside every rank
+        try:
+            threaded = run_online_stack(*inputs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [min(cores, 3)]
+        assert serial[1].log.support_loss_events > 0
+        for one, other in zip(serial, threaded):
+            np.testing.assert_array_equal(one.log.loads, other.log.loads)
+            np.testing.assert_array_equal(one.log.costs, other.log.costs)
+            np.testing.assert_array_equal(one.policies, other.policies)
+            np.testing.assert_array_equal(one.zone_policies, other.zone_policies)
+            assert one.log.support_loss_events == other.log.support_loss_events
+
+    def test_single_block_runs_without_a_pool(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block stack started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 4)
+        topo = make_random_topology(rng, 5, 2)
+        trace = toy_trace(rng.uniform(0.0, 0.5, (8, 5)))
+        params = [CostParams(alpha=1, rho0=0.9)] * 2
+        runs = run_online_stack(topo, trace, build_partition(8, 4, 1), params, [LearnerConfig(eta=0.5)] * 2)
+        assert np.isfinite(runs[1].log.costs).all()
+
+    def test_error_in_a_block_propagates(self, rng, monkeypatch):
+        inputs = self.blocked_stack(rng, monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 2)
+
+        def slope_failing_in_the_last_block(loads, params):
+            if loads.shape[0] == 1:
+                raise FloatingPointError("slope of the last block")
+            return load_slope(loads, params)
+
+        monkeypatch.setattr(learner, "load_slope", slope_failing_in_the_last_block)
+        with pytest.raises(FloatingPointError, match="last block"):
+            run_online_stack(*inputs)
