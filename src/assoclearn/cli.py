@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .benchmark import SolverConfig, solve_periodic_static
 from .cost import CostParams
-from .learner import LearnerConfig, OnlineRun, run_online, run_online_stack
+from .learner import LearnerConfig, OnlineRun, run_online, run_online_stack, usable_cores
 from .metrics import RegretReport, peak_bound, regret, runlog_to_csv
 from .topology import (
     RadioConfig,
@@ -322,13 +322,16 @@ def _learned_key(config: ExperimentConfig) -> tuple:
     return config.zones, config.slots_per_zone, config.cost, config.eta
 
 
-def learn(configs: list, topology: Topology, trace: TrafficTrace, learned: dict) -> None:
+def learn(
+    configs: list, topology: Topology, trace: TrafficTrace, learned: dict, threads: int | None = None
+) -> None:
     """Learn every config online into `learned` (see `evaluate`), one stack per (zones, alpha).
 
     Configs that differ only in rho0, psi and eta advance as the members of
     one `run_online_stack` call, whose runs equal their single runs bit for
-    bit. A stack that raises, from a calendar the trace does not fit or a
-    step that overflows, is left unlearned for `evaluate` to report.
+    bit; `threads` caps the learner threads of each call. A stack that
+    raises, from a calendar the trace does not fit or a step that overflows,
+    is left unlearned for `evaluate` to report.
     """
     stacks = {}
     for config in configs:
@@ -339,7 +342,8 @@ def learn(configs: list, topology: Topology, trace: TrafficTrace, learned: dict)
             partition = build_partition(trace.horizon, zones, slots_per_zone)
             steps = [_step(config, topology, trace) for config in members.values()]
             learners = [LearnerConfig(eta=eta) for eta, _ in steps]
-            runs = run_online_stack(topology, trace, partition, [c.cost for c in members.values()], learners)
+            costs = [c.cost for c in members.values()]
+            runs = run_online_stack(topology, trace, partition, costs, learners, threads)
         except ValueError:
             continue
         learned.update((key, (run, *step)) for key, run, step in zip(members, runs, steps))
@@ -463,8 +467,9 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, combos: list) -> list[list]:
-    """sweep.csv rows of combinations learned together and run in order on shared inputs."""
+def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, threads: int, combos: list) -> list[list]:
+    """sweep.csv rows of combinations learned together, on at most `threads` learner
+    threads, and run in order on shared inputs."""
     period = config.zones * config.slots_per_zone
     subs = []
     for zones, rho0, alpha, eta in combos:
@@ -475,7 +480,7 @@ def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, combos: l
             continue
         subs.append(replace(config, zones=zones, slots_per_zone=period // zones, cost=cost, eta=eta))
     solved, learned = {}, {}
-    learn([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, learned)
+    learn([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, learned, threads)
     rows = []
     for (zones, rho0, alpha, eta), sub in zip(combos, subs):
         try:
@@ -517,13 +522,15 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
         )
     )
     topology = build_experiment_topology(config)
-    run_group = partial(_run_group, config, (topology, build_experiment_trace(config, topology)), out)
+    trace = build_experiment_trace(config, topology)
     by_zones = not (config.benchmark_static or config.benchmark_dynamic)
     groups = {}
     for index, (zones, rho0, alpha, _) in enumerate(combos):
         groups.setdefault((alpha, zones if by_zones else rho0), []).append(index)
     tasks = [[combos[i] for i in group] for group in groups.values()]
     workers = min(jobs, len(tasks))  # the pool starts all its workers up front
+    # each worker's learner gets its share of the cores, so the threads do not outnumber them
+    run_group = partial(_run_group, config, (topology, trace), out, max(1, usable_cores() // workers))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_group, tasks))

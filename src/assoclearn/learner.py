@@ -9,8 +9,11 @@ zone; a thread starts from the uniform split at its window's first slot and
 otherwise advances from the log-policy and gradient it stored at the
 previous slot of the same window. Every window has the same length, so the
 threads advance in lock-step, one window rank at a time, as a stack. A
-large stack is cut into cache-sized blocks of zones, which are independent
-and advance concurrently, one per usable core.
+stack holds each location's entries over its neighbor APs only: padded to
+the largest degree, or, where the padding outweighs a few more numpy calls
+per step, as link rows with no padding at all (`row_softmax`; timings in
+BENCH_20.json). A large stack is cut into cache-sized blocks of zones,
+which are independent and advance concurrently on the usable cores.
 
 The stack can also carry several members: runs on one trace and calendar
 that share alpha and differ in rho0, psi or eta, as the combinations of a
@@ -35,6 +38,12 @@ from .traffic import TimePartition, TrafficTrace
 # Policy entries per lock-step block of threads: a larger stack falls out of
 # cache, and a step on it then costs more than steps on smaller blocks.
 STACK_ENTRIES = 2**16
+# A stack in link rows (see run_online_stack) skips the padding of the neighbor
+# table but pays about one numpy call per table row in each reduction of its
+# softmax. It pays off when the stack drops more than ROW_ENTRIES padded
+# entries per row beyond the first; set from timings of both layouts on the
+# bench networks (README).
+ROW_ENTRIES = 2**11
 # exp is slow near float underflow (-708) and at -inf. A weight below
 # exp(UNDERFLOW) ~ 1e-304 of its column's largest adds nothing to the total.
 UNDERFLOW = -700.0
@@ -77,6 +86,38 @@ def column_softmax(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     totals = weights.sum(axis=-2, keepdims=True)
     weights /= totals
     return weights, shift + np.log(totals)
+
+
+def row_softmax(theta: np.ndarray, rows: Sequence[tuple[int, int]]) -> np.ndarray:
+    """`column_softmax` of a stack in link rows; theta becomes the step's log-policy.
+
+    The last axis of theta holds a neighbor table's rows one after another,
+    row r as the slice [start, start + n) for (start, n) = rows[r]: the r-th
+    serving AP of the first n locations in an order of falling degree, so
+    every row covers a prefix of the locations the row above covers. Maxima
+    and totals fold the rows in table order, as column_softmax's reduction
+    does, so both give the same bits on the same links. Each entry of theta
+    loses its column's log-normalizer, in place.
+    """
+    spans = [(slice(start, start + n), slice(n)) for start, n in rows]
+    (top, _), *deeper = spans
+    shift = theta[..., top].copy()
+    for entries, heads in deeper:
+        np.maximum(shift[..., heads], theta[..., entries], out=shift[..., heads])
+    weights = np.empty_like(theta)
+    for entries, heads in spans:
+        np.subtract(theta[..., entries], shift[..., heads], out=weights[..., entries])
+    live = weights > UNDERFLOW
+    np.exp(np.maximum(weights, UNDERFLOW, out=weights), out=weights)
+    weights *= live
+    totals = weights[..., top].copy()
+    for entries, heads in deeper:
+        totals[..., heads] += weights[..., entries]
+    log_norm = shift + np.log(totals)
+    for entries, heads in spans:
+        weights[..., entries] /= totals[..., heads]
+        theta[..., entries] -= log_norm[..., heads]
+    return weights
 
 
 def init_uniform(topology: Topology) -> np.ndarray:
@@ -164,6 +205,7 @@ def run_online_stack(
     partition: TimePartition,
     params: Sequence[CostParams],
     configs: Sequence[LearnerConfig],
+    threads: int | None = None,
 ) -> list[OnlineRun]:
     """`run_online` for several (params, config) members in one pass; one run each.
 
@@ -174,15 +216,22 @@ def run_online_stack(
     With the demand in `TimePartition.calendar` layout, rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
     therefore runs over the periods * slots_per_zone ranks and advances the
-    (zone, member) threads of blocks of zones, at most STACK_ENTRIES /
-    (members * M * n_locations) zones (at least one), as one log-policy stack
-    in the compact layout of `Topology.neighbor_table`, M rows deep, -inf off
-    the support. Loads come from the policies scattered back to a dense
-    stack, so every output matches a slot-by-slot dense replay bit for bit.
-    Several blocks advance at once on a thread pool, one worker per usable
-    core (`usable_cores`); each writes only its own zones' slices of the
-    outputs, so the result does not depend on the worker count. A stack
-    that fits in one block runs on the calling thread.
+    (zone, member) threads of blocks of zones as one log-policy stack, in one
+    of two compact layouts of `Topology.neighbor_table` (M rows deep). The
+    padded table keeps all M rows over every location, -inf off the support,
+    and steps with `column_softmax`. Link rows sort the locations by falling
+    degree (stable) and keep row r only over those of degree > r, so they
+    hold the links alone and step with `row_softmax`, at about one more
+    numpy call per row. A stack takes link rows when the padding they drop,
+    (M * n_locations - links) * zones * members, exceeds ROW_ENTRIES * (M - 1).
+    Either way loads come from the policies scattered back to a dense stack,
+    so every output matches a slot-by-slot dense replay bit for bit.
+    The zones are cut into the fewest equal blocks (sizes differing by at
+    most one) of at most STACK_ENTRIES entries whose count is a multiple of
+    the worker count, `threads` or else `usable_cores()`; the blocks advance
+    on a thread pool of that many workers. Each writes only its own zones'
+    slices of the outputs, so the result does not depend on the worker
+    count. A stack that fits in one block runs on the calling thread.
     A member's support losses are its link count minus its final policies'
     nonzero count. A member whose eta times `lipschitz_bound` at the trace's
     peak times the window's rank count is not finite raises: its log-weights
@@ -205,9 +254,38 @@ def run_online_stack(
     members = len(configs)
     n_aps, n_locations = topology.n_aps, topology.n_locations
     table = topology.neighbor_table
-    inverse_rate = np.take_along_axis(topology.inverse_rate, table, axis=0)
-    # flat position of each compact entry in one thread's dense (n_aps, n_locations) policy
-    offsets = table * n_locations + np.arange(n_locations)
+    depth = table.shape[0]
+    degree = topology.support.sum(axis=0)
+    links = int(degree.sum())
+    if (table.size - links) * n_zones * members > ROW_ENTRIES * (depth - 1):
+        # link rows, end to end: row r of the table over the locations of degree > r
+        order = np.argsort(-degree, kind="stable")
+        lengths = np.count_nonzero(degree > np.arange(depth)[:, None], axis=1)
+        rows = list(zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()))
+        aps = np.concatenate([row[order[:n]] for row, n in zip(table, lengths)])[None]
+        locations = np.concatenate([order[:n] for n in lengths])[None]
+
+        def step(theta):
+            return row_softmax(theta, rows)
+
+        def per_entry(lam):
+            return np.take(lam, locations, axis=-1)
+
+    else:
+        aps, locations = table, np.arange(n_locations)[None]
+
+        def step(theta):
+            pi, log_norm = column_softmax(theta)
+            theta -= log_norm
+            return pi
+
+        def per_entry(lam):
+            return lam[..., None, :]
+
+    # a thread's log-policy holds one entry per (aps, locations) pair, on a link or on padding
+    inverse_rate = topology.inverse_rate[aps, locations]
+    # flat position of each entry in one thread's dense (n_aps, n_locations) policy
+    offsets = aps * n_locations + locations
     demand = partition.calendar(trace.demand)
     # per-member parameters, shaped to broadcast over (zones, members, ...) stacks
     eta = np.array([c.eta for c in configs])[:, None, None]
@@ -221,9 +299,7 @@ def run_online_stack(
     calendar_loads = partition.calendar(loads)
     zone_pi = np.zeros((n_zones, members, n_aps, n_locations))
     # a thread's log-weights at its window's first slot: 0 on links, -inf on padding
-    opening = np.where(np.take_along_axis(topology.support, table, axis=0), 0.0, -np.inf)
-    block = max(1, STACK_ENTRIES // (members * table.size))
-    links = topology.support.sum()
+    opening = np.where(topology.support[aps, locations], 0.0, -np.inf)
 
     def advance(zones: slice) -> np.ndarray:
         """Run the threads of `zones` over every rank; their members' support losses."""
@@ -237,8 +313,7 @@ def run_online_stack(
             p, s = divmod(rank, width)
             if rank:
                 theta -= np.multiply(eta, grad, out=scratch)
-            pi, log_norm = column_softmax(theta)
-            theta -= log_norm
+            pi = step(theta)  # and theta becomes log(pi)
 
             lam = demand[p, zones, s][:, None]  # (count, 1, n_locations)
             dense.reshape(-1)[index] = np.multiply(pi, inverse_rate, out=scratch)
@@ -249,14 +324,19 @@ def run_online_stack(
                 played.reshape(-1)[index] = pi
                 partition.calendar(kept)[p, zones, s] = played
             # mode "clip" (the indices are valid) writes straight into grad; "raise" buffers out
-            np.take(load_slope(slot_loads, stacked), table, axis=-1, out=grad, mode="clip")
+            np.take(load_slope(slot_loads, stacked), aps, axis=-1, out=grad, mode="clip")
             grad *= inverse_rate
-            grad *= lam[..., None, :]
+            grad *= per_entry(lam)
         zone_pi[zones].reshape(-1)[index] = pi
         return count * links - np.count_nonzero(pi, axis=(0, 2, 3))
 
-    blocks = [slice(start, min(start + block, n_zones)) for start in range(0, n_zones, block)]
-    workers = min(len(blocks), usable_cores())
+    # the fewest equal blocks of at most STACK_ENTRIES entries, in a multiple of the workers
+    workers = threads or usable_cores()
+    needed = -(-n_zones // max(1, STACK_ENTRIES // (members * aps.size)))
+    n_blocks = 1 if needed == 1 else min(n_zones, -(-needed // workers) * workers)
+    bounds = [-(-n_zones * b // n_blocks) for b in range(n_blocks + 1)]
+    blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    workers = min(n_blocks, workers)
     if workers == 1:
         support_losses = sum(map(advance, blocks))
     else:

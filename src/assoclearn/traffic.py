@@ -11,7 +11,7 @@ import csv
 import sys
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +21,19 @@ class TrafficTrace:
     """demand[t-1, i] is the intensity at location i in slot t; a caller's array is copied."""
 
     demand: np.ndarray  # (horizon, n_locations), packets/second, >= 0
+    max_intensity: float = field(init=False, repr=False, compare=False)  # largest entry, 0.0 if none
 
     def __post_init__(self, copy: bool = True):
         demand = np.array(self.demand, dtype=float, copy=copy)
         if demand.ndim != 2:
             raise ValueError("demand must be a horizon x n_locations matrix")
-        if not np.all(np.isfinite(demand)) or np.any(demand < 0):
+        peak = float(demand.max()) if demand.size else 0.0
+        # min and max propagate NaN, which fails both comparisons
+        if demand.size and not (demand.min() >= 0 and peak < np.inf):
             raise ValueError("demand entries must be finite and non-negative")
         demand.setflags(write=False)
         object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "max_intensity", peak)
 
     @property
     def horizon(self) -> int:
@@ -38,10 +42,6 @@ class TrafficTrace:
     @property
     def n_locations(self) -> int:
         return self.demand.shape[1]
-
-    @property
-    def max_intensity(self) -> float:
-        return float(self.demand.max()) if self.demand.size else 0.0
 
 
 def _adopt(demand: np.ndarray) -> TrafficTrace:

@@ -589,6 +589,38 @@ class TestSweep:
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "one"), "--jobs", "500"]) == 0
         assert sizes == [2]  # a single group runs without a pool
 
+    @pytest.mark.parametrize("jobs, budget", [(1, 5), (2, 2), (500, 2)])
+    def test_sweep_workers_share_the_cores(self, tmp_path, monkeypatch, jobs, budget):
+        # 5 usable cores: one worker's learner may use all of them, two get 2 each
+        from assoclearn import cli
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        budgets = []
+        original = cli.run_online_stack
+
+        def recorded(*args):
+            budgets.append(args[5])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "usable_cores", lambda: 5)
+        monkeypatch.setattr(cli, "run_online_stack", recorded)
+        config = self.sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 0
+        assert budgets == [budget, budget]  # one stack per zones value
+
     def test_inputs_built_and_benchmarks_solved_once(self, tmp_path, monkeypatch):
         from assoclearn import cli
 

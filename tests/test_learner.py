@@ -22,7 +22,7 @@ from assoclearn import (
 )
 from assoclearn import learner
 from assoclearn.cost import grad_from_loads, load_slope
-from assoclearn.learner import STACK_ENTRIES, UNDERFLOW, run_online_stack
+from assoclearn.learner import STACK_ENTRIES, UNDERFLOW, row_softmax, run_online_stack
 from assoclearn.metrics import replay_benchmark
 from conftest import make_random_policy, make_random_topology
 
@@ -206,6 +206,36 @@ def toy_trace(values):
     return TrafficTrace(demand=np.asarray(values, dtype=float))
 
 
+def assert_matches_dense_eg_loop(run, support, rate, trace, zones, width, params, eta):
+    """Assert that the run plays, logs and ends bit for bit as a slot-by-slot
+    replay on dense (n_aps, n_locations) log-policies, -inf off the links."""
+    inverse_rate = np.where(support, 1.0 / np.where(support, rate, 1.0), 0.0)
+    state = {}
+    for t in range(trace.horizon):
+        zone = (t // width) % zones
+        if zone not in state:
+            theta = np.where(support, 0.0, -np.inf)
+        else:
+            log_pi, grad, _ = state[zone]
+            theta = log_pi - eta * grad
+        shift = theta.max(axis=0, keepdims=True)
+        exponent = theta - shift
+        weights = np.where(exponent > UNDERFLOW, np.exp(np.maximum(exponent, UNDERFLOW)), 0.0)
+        totals = weights.sum(axis=0, keepdims=True)
+        pi = weights / totals
+        log_pi = theta - (shift + np.log(totals))
+        lam = trace.demand[t]
+        loads = (pi * inverse_rate) @ lam
+        np.testing.assert_array_equal(run.policies[t], pi)
+        np.testing.assert_array_equal(run.log.loads[t], loads)
+        assert run.log.costs[t] == penalized_cost_from_loads(loads, params)
+        state[zone] = log_pi, (load_slope(loads, params)[:, None] * inverse_rate) * lam, pi
+    losses = sum(int((support & (state[zone][2] == 0)).sum()) for zone in range(zones))
+    assert run.log.support_loss_events == losses
+    for zone in range(zones):
+        np.testing.assert_array_equal(run.zone_policies[zone], state[zone][2])
+
+
 class TestRunOnline:
     def test_window_openers_play_uniform(self, rng):
         topo = make_random_topology(rng, 3, 3)
@@ -345,7 +375,7 @@ class TestRunOnline:
             losses += int(np.count_nonzero(topo.support & (final == 0)))
         assert run.log.support_loss_events == losses > 0
 
-    def test_compact_layout_matches_dense_eg_loop(self, rng):
+    def test_compact_layout_matches_dense_eg_loop(self, rng, monkeypatch):
         # irregular degrees: location 0 hears every AP (no padding), locations
         # 1-49 hear one AP, the rest a random subset
         n_aps, n_locations = 4, 6000
@@ -358,41 +388,54 @@ class TestRunOnline:
         rate = np.where(support, rng.uniform(0.05, 4.0, support.shape), 0.0)
         topo = Topology(service_rate=rate)
         periods, zones, width = 2, 3, 3
-        assert STACK_ENTRIES // topo.neighbor_table.size < zones  # more than one block
+        links = int(support.sum())
+        # the padding dropped is worth link rows, of which a block holds two
+        # zones: on two workers, blocks of two zones and one
+        assert (topo.neighbor_table.size - links) * zones > learner.ROW_ENTRIES * (n_aps - 1)
+        monkeypatch.setattr(learner, "STACK_ENTRIES", 2 * links)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 2)
         horizon = periods * zones * width
         trace = toy_trace(rng.uniform(0.0, 1e-3, (horizon, n_locations)))
         partition = build_partition(horizon, zones, width)
         params = CostParams(alpha=2, rho0=0.9)
         eta = 1e4
         run = run_online(topo, trace, partition, params, LearnerConfig(eta=eta, keep_policies=True))
-
-        # slot by slot on dense (n_aps, n_locations) log-policies, -inf off the links
-        inverse_rate = np.where(support, 1.0 / np.where(support, rate, 1.0), 0.0)
-        state = {}
-        for t in range(horizon):
-            zone = (t // width) % zones
-            if zone not in state:
-                theta = np.where(support, 0.0, -np.inf)
-            else:
-                log_pi, grad, _ = state[zone]
-                theta = log_pi - eta * grad
-            shift = theta.max(axis=0, keepdims=True)
-            exponent = theta - shift
-            weights = np.where(exponent > UNDERFLOW, np.exp(np.maximum(exponent, UNDERFLOW)), 0.0)
-            totals = weights.sum(axis=0, keepdims=True)
-            pi = weights / totals
-            log_pi = theta - (shift + np.log(totals))
-            lam = trace.demand[t]
-            loads = (pi * inverse_rate) @ lam
-            np.testing.assert_array_equal(run.policies[t], pi)
-            np.testing.assert_array_equal(run.log.loads[t], loads)
-            assert run.log.costs[t] == penalized_cost_from_loads(loads, params)
-            state[zone] = log_pi, (load_slope(loads, params)[:, None] * inverse_rate) * lam, pi
-        losses = sum(int((support & (state[zone][2] == 0)).sum()) for zone in range(zones))
-        assert run.log.support_loss_events == losses > 0
+        assert_matches_dense_eg_loop(run, support, rate, trace, zones, width, params, eta)
+        assert run.log.support_loss_events > 0
         assert type(run.log.support_loss_events) is int
-        for zone in range(zones):
-            np.testing.assert_array_equal(run.zone_policies[zone], state[zone][2])
+
+    @pytest.mark.parametrize("row_entries", [0, 2**62], ids=["link-rows", "padded"])
+    def test_both_layouts_match_dense_eg_loop(self, rng, monkeypatch, row_entries):
+        # location 0 hears all 10 APs, so its column folds 10 entries, past the
+        # 8 at which numpy's contiguous sums turn pairwise; the others hear one
+        n_aps, n_locations = 10, 300
+        support = np.zeros((n_aps, n_locations), dtype=bool)
+        support[:, 0] = True
+        support[rng.integers(n_aps, size=n_locations - 1), np.arange(1, n_locations)] = True
+        rate = np.where(support, rng.uniform(0.05, 4.0, support.shape), 0.0)
+        topo = Topology(service_rate=rate)
+        periods, zones, width = 2, 3, 3
+        horizon = periods * zones * width
+        trace = toy_trace(rng.uniform(0.0, 0.02, (horizon, n_locations)))
+        partition = build_partition(horizon, zones, width)
+        params = [CostParams(alpha=2, rho0=0.9), CostParams(alpha=2, rho0=0.5, psi=2.0)]
+        configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (1.0, 1e4)]
+        monkeypatch.setattr(learner, "ROW_ENTRIES", row_entries)
+        # a zone of two members fills a block in either layout: three blocks on two workers
+        monkeypatch.setattr(learner, "STACK_ENTRIES", 2 * int(support.sum()))
+        monkeypatch.setattr(learner, "usable_cores", lambda: 2)
+        folds = []
+
+        def recorded(theta, rows):
+            folds.append(len(rows))
+            return row_softmax(theta, rows)
+
+        monkeypatch.setattr(learner, "row_softmax", recorded)
+        runs = run_online_stack(topo, trace, partition, params, configs)
+        assert set(folds) == ({n_aps} if row_entries == 0 else set())
+        for run, member, config in zip(runs, params, configs):
+            assert_matches_dense_eg_loop(run, support, rate, trace, zones, width, member, config.eta)
+        assert runs[1].log.support_loss_events > 0
 
     def test_underflowed_ap_is_played_again(self):
         # location 0 hears AP 0 only, location 1 both APs. At slot 1 location 0
@@ -415,9 +458,9 @@ class TestRunOnline:
 class TestRunOnlineStack:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_members_match_their_single_runs(self, rng, alpha):
-        # 4 members of 3 * 6000 compact entries overflow STACK_ENTRIES, so the
-        # 4 zones advance in blocks of one; at alpha = 1 an array alpha would
-        # change the last bit of some slopes
+        # two zones of 4 members over 9,736 links (in link rows) overflow
+        # STACK_ENTRIES, so the 4 zones advance in blocks of one; at alpha = 1
+        # an array alpha would change the last bit of some slopes
         topo = make_random_topology(rng, 6000, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
         periods, zones, width = 2, 4, 3
         horizon = periods * zones * width
@@ -425,7 +468,9 @@ class TestRunOnlineStack:
         partition = build_partition(horizon, zones, width)
         params = [CostParams(alpha=alpha, rho0=rho0, psi=psi) for rho0, psi in [(0.5, 1.0), (0.9, 2.0)] * 2]
         configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (0.3, 1.0, 50.0, 1e4)]
-        assert 4 * topo.neighbor_table.size > STACK_ENTRIES
+        links = int(topo.support.sum())
+        assert (topo.neighbor_table.size - links) * zones * 4 > learner.ROW_ENTRIES * 2
+        assert 2 * 4 * links > STACK_ENTRIES
         runs = run_online_stack(topo, trace, partition, params, configs)
         assert len(runs) == 4
         for member, config, run in zip(params, configs, runs):
@@ -490,9 +535,11 @@ class TestBlockThreads:
 
     @staticmethod
     def blocked_stack(rng, monkeypatch):
-        # two members of a table under 3 * 40 entries, two zones per block: 5
-        # zones advance in blocks of 2, 2 and 1
+        # two members of a padded table under 3 * 40 entries, two zones per
+        # block: 5 zones advance in blocks of 2, 2 and 1 on one or three
+        # workers, and of 2, 1, 1 and 1 on two
         topo = make_random_topology(rng, 40, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
+        monkeypatch.setattr(learner, "ROW_ENTRIES", 2**62)
         monkeypatch.setattr(learner, "STACK_ENTRIES", 4 * topo.neighbor_table.size)
         periods, zones, width = 2, 5, 3
         horizon = periods * zones * width
@@ -501,7 +548,7 @@ class TestBlockThreads:
         configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (1.0, 1e4)]
         return topo, trace, build_partition(horizon, zones, width), params, configs
 
-    @pytest.mark.parametrize("cores", [2, 3])  # 3 blocks: two workers, or one per block
+    @pytest.mark.parametrize("cores", [2, 3])  # two workers, or one per block
     def test_worker_count_does_not_change_results(self, rng, monkeypatch, cores):
         inputs = self.blocked_stack(rng, monkeypatch)
         monkeypatch.setattr(learner, "usable_cores", lambda: 1)
@@ -541,6 +588,28 @@ class TestBlockThreads:
         params = [CostParams(alpha=1, rho0=0.9)] * 2
         runs = run_online_stack(topo, trace, build_partition(8, 4, 1), params, [LearnerConfig(eta=0.5)] * 2)
         assert np.isfinite(runs[1].log.costs).all()
+
+    def test_budget_of_one_thread_runs_without_a_pool(self, rng, monkeypatch):
+        inputs = self.blocked_stack(rng, monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 2)
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        unbudgeted = run_online_stack(*inputs)
+        assert pools == [2]
+        budgeted = run_online_stack(*inputs, threads=1)
+        assert pools == [2]
+        for one, other in zip(unbudgeted, budgeted):
+            np.testing.assert_array_equal(one.log.loads, other.log.loads)
+            np.testing.assert_array_equal(one.log.costs, other.log.costs)
+            np.testing.assert_array_equal(one.policies, other.policies)
+            np.testing.assert_array_equal(one.zone_policies, other.zone_policies)
+            assert one.log.support_loss_events == other.log.support_loss_events
 
     def test_error_in_a_block_propagates(self, rng, monkeypatch):
         inputs = self.blocked_stack(rng, monkeypatch)

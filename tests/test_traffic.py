@@ -188,6 +188,47 @@ class TestTraceOwnership:
         assert not demand.flags.writeable
 
 
+class TestTraceValidation:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-300])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+    def test_non_finite_or_negative_entry_is_rejected(self, bad, where):
+        demand = np.full((3, 2), 0.5)
+        demand[where] = bad
+        with pytest.raises(ValueError, match="demand entries must be finite and non-negative"):
+            TrafficTrace(demand=demand)
+
+    def test_nan_beside_a_negative_or_infinite_entry_is_rejected(self):
+        for other in (-1.0, np.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                TrafficTrace(demand=[[np.nan, other]])
+
+    def test_max_intensity_is_the_largest_entry(self):
+        trace = TrafficTrace(demand=[[0.25, 3.0], [0.0, 1.5]])
+        assert trace.max_intensity == 3.0
+        assert type(trace.max_intensity) is float
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_trace_is_accepted_with_max_intensity_zero(self, shape):
+        trace = TrafficTrace(demand=np.empty(shape))
+        assert trace.demand.shape == shape
+        assert trace.max_intensity == 0.0
+
+    def test_checks_make_no_full_size_temporaries(self):
+        demand = np.ones((1000, 1000))  # a mask of it would take 1 MB
+        tracemalloc.start()
+        try:
+            _adopt(demand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_negative_zero_is_accepted(self):
+        trace = TrafficTrace(demand=[[-0.0, 0.0], [-0.0, -0.0]])
+        assert trace.max_intensity == 0.0
+        assert TrafficTrace(demand=[[-0.0]]).max_intensity == 0.0
+
+
 class TestTraceCsv:
     def test_empty_body_declared_shape(self, tmp_path):
         path = tmp_path / "trace.csv"
