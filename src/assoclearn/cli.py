@@ -467,7 +467,9 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _run_group(config: ExperimentConfig, inputs: tuple, out_dir: Path, threads: int, combos: list) -> list[list]:
+def _run_group(
+    config: ExperimentConfig, inputs: tuple, out_dir: Path, threads: int, combos: list
+) -> list[list]:
     """sweep.csv rows of combinations learned together, on at most `threads` learner
     threads, and run in order on shared inputs."""
     period = config.zones * config.slots_per_zone

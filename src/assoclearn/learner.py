@@ -9,9 +9,7 @@ zone; a thread starts from the uniform split at its window's first slot and
 otherwise advances from the log-policy and gradient it stored at the
 previous slot of the same window. Every window has the same length, so the
 threads advance in lock-step, one window rank at a time, as a stack. A
-stack holds each location's entries over its neighbor APs only: padded to
-the largest degree, or, where the padding outweighs a few more numpy calls
-per step, as link rows with no padding at all (`row_softmax`; timings in
+stack holds one entry per link, in link rows (`row_softmax`; timings in
 BENCH_20.json). A large stack is cut into cache-sized blocks of zones,
 which are independent and advance concurrently on the usable cores.
 
@@ -38,12 +36,6 @@ from .traffic import TimePartition, TrafficTrace
 # Policy entries per lock-step block of threads: a larger stack falls out of
 # cache, and a step on it then costs more than steps on smaller blocks.
 STACK_ENTRIES = 2**16
-# A stack in link rows (see run_online_stack) skips the padding of the neighbor
-# table but pays about one numpy call per table row in each reduction of its
-# softmax. It pays off when the stack drops more than ROW_ENTRIES padded
-# entries per row beyond the first; set from timings of both layouts on the
-# bench networks (README).
-ROW_ENTRIES = 2**11
 # exp is slow near float underflow (-708) and at -inf. A weight below
 # exp(UNDERFLOW) ~ 1e-304 of its column's largest adds nothing to the total.
 UNDERFLOW = -700.0
@@ -91,32 +83,33 @@ def column_softmax(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def row_softmax(theta: np.ndarray, rows: Sequence[tuple[int, int]]) -> np.ndarray:
     """`column_softmax` of a stack in link rows; theta becomes the step's log-policy.
 
-    The last axis of theta holds a neighbor table's rows one after another,
+    The first axis of theta holds a neighbor table's rows one after another,
     row r as the slice [start, start + n) for (start, n) = rows[r]: the r-th
     serving AP of the first n locations in an order of falling degree, so
-    every row covers a prefix of the locations the row above covers. Maxima
+    every row covers a prefix of the locations the row above covers. Any
+    further axes stack threads, so each row is one contiguous block. Maxima
     and totals fold the rows in table order, as column_softmax's reduction
     does, so both give the same bits on the same links. Each entry of theta
     loses its column's log-normalizer, in place.
     """
     spans = [(slice(start, start + n), slice(n)) for start, n in rows]
     (top, _), *deeper = spans
-    shift = theta[..., top].copy()
+    shift = theta[top].copy()
     for entries, heads in deeper:
-        np.maximum(shift[..., heads], theta[..., entries], out=shift[..., heads])
+        np.maximum(shift[heads], theta[entries], out=shift[heads])
     weights = np.empty_like(theta)
     for entries, heads in spans:
-        np.subtract(theta[..., entries], shift[..., heads], out=weights[..., entries])
-    live = weights > UNDERFLOW
+        np.subtract(theta[entries], shift[heads], out=weights[entries])
+    dead = weights <= UNDERFLOW  # zeroed below: faster than column_softmax's product, same bits
     np.exp(np.maximum(weights, UNDERFLOW, out=weights), out=weights)
-    weights *= live
-    totals = weights[..., top].copy()
+    np.copyto(weights, 0.0, where=dead)
+    totals = weights[top].copy()
     for entries, heads in deeper:
-        totals[..., heads] += weights[..., entries]
+        totals[heads] += weights[entries]
     log_norm = shift + np.log(totals)
     for entries, heads in spans:
-        weights[..., entries] /= totals[..., heads]
-        theta[..., entries] -= log_norm[..., heads]
+        weights[entries] /= totals[heads]
+        theta[entries] -= log_norm[heads]
     return weights
 
 
@@ -216,22 +209,19 @@ def run_online_stack(
     With the demand in `TimePartition.calendar` layout, rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
     therefore runs over the periods * slots_per_zone ranks and advances the
-    (zone, member) threads of blocks of zones as one log-policy stack, in one
-    of two compact layouts of `Topology.neighbor_table` (M rows deep). The
-    padded table keeps all M rows over every location, -inf off the support,
-    and steps with `column_softmax`. Link rows sort the locations by falling
-    degree (stable) and keep row r only over those of degree > r, so they
-    hold the links alone and step with `row_softmax`, at about one more
-    numpy call per row. A stack takes link rows when the padding they drop,
-    (M * n_locations - links) * zones * members, exceeds ROW_ENTRIES * (M - 1).
-    Either way loads come from the policies scattered back to a dense stack,
-    so every output matches a slot-by-slot dense replay bit for bit.
-    The zones are cut into the fewest equal blocks (sizes differing by at
-    most one) of at most STACK_ENTRIES entries whose count is a multiple of
-    the worker count, `threads` or else `usable_cores()`; the blocks advance
-    on a thread pool of that many workers. Each writes only its own zones'
-    slices of the outputs, so the result does not depend on the worker
-    count. A stack that fits in one block runs on the calling thread.
+    (zone, member) threads of blocks of zones as one log-policy stack of
+    shape (links, zones, members), in link rows of `Topology.neighbor_table`:
+    the locations sorted by falling degree (stable), and row r kept only
+    over those of degree > r, so no entry is padding. The step is
+    `row_softmax`. Loads come from the policies scattered back to a dense
+    (zones, members, n_aps, n_locations) stack, so every output matches a
+    slot-by-slot dense replay bit for bit.
+    The zones are cut into the fewest blocks of at most STACK_ENTRIES
+    entries, their sizes within one of each other; the blocks advance on a
+    thread pool of `threads` workers, or else `usable_cores()`, and at most
+    one per block. Each writes only its own zones' slices of the outputs, so
+    the result does not depend on the worker count. A stack that fits in
+    one block runs on the calling thread.
     A member's support losses are its link count minus its final policies'
     nonzero count. A member whose eta times `lipschitz_bound` at the trace's
     peak times the window's rank count is not finite raises: its log-weights
@@ -254,43 +244,22 @@ def run_online_stack(
     members = len(configs)
     n_aps, n_locations = topology.n_aps, topology.n_locations
     table = topology.neighbor_table
-    depth = table.shape[0]
     degree = topology.support.sum(axis=0)
-    links = int(degree.sum())
-    if (table.size - links) * n_zones * members > ROW_ENTRIES * (depth - 1):
-        # link rows, end to end: row r of the table over the locations of degree > r
-        order = np.argsort(-degree, kind="stable")
-        lengths = np.count_nonzero(degree > np.arange(depth)[:, None], axis=1)
-        rows = list(zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()))
-        aps = np.concatenate([row[order[:n]] for row, n in zip(table, lengths)])[None]
-        locations = np.concatenate([order[:n] for n in lengths])[None]
-
-        def step(theta):
-            return row_softmax(theta, rows)
-
-        def per_entry(lam):
-            return np.take(lam, locations, axis=-1)
-
-    else:
-        aps, locations = table, np.arange(n_locations)[None]
-
-        def step(theta):
-            pi, log_norm = column_softmax(theta)
-            theta -= log_norm
-            return pi
-
-        def per_entry(lam):
-            return lam[..., None, :]
-
-    # a thread's log-policy holds one entry per (aps, locations) pair, on a link or on padding
-    inverse_rate = topology.inverse_rate[aps, locations]
+    # link rows: row r of the table over the locations of degree > r, in falling degree
+    order = np.argsort(-degree, kind="stable")
+    lengths = np.count_nonzero(degree > np.arange(table.shape[0])[:, None], axis=1)
+    rows = list(zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()))
+    aps = np.concatenate([row[order[:n]] for row, n in zip(table, lengths)])
+    locations = np.concatenate([order[:n] for n in lengths])
+    links = aps.size
+    inverse_rate = topology.inverse_rate[aps, locations][:, None, None]
     # flat position of each entry in one thread's dense (n_aps, n_locations) policy
     offsets = aps * n_locations + locations
     demand = partition.calendar(trace.demand)
-    # per-member parameters, shaped to broadcast over (zones, members, ...) stacks
-    eta = np.array([c.eta for c in configs])[:, None, None]
+    # per-member parameters, shaped to broadcast over (..., zones, members) stacks
+    eta = np.array([c.eta for c in configs])
     stacked = SimpleNamespace(alpha=alpha)
-    for name in ("rho0", "psi", "threshold_slope"):
+    for name in ("rho0", "psi", "threshold_slope"):  # against (zones, members, n_aps) loads
         setattr(stacked, name, np.array([getattr(p, name) for p in params])[:, None])
     # (T, members, ...) outputs, written through their calendar views
     loads = np.empty((trace.horizon, members, n_aps))
@@ -298,45 +267,46 @@ def run_online_stack(
     kept = np.empty((trace.horizon, members, n_aps, n_locations)) if keep else None
     calendar_loads = partition.calendar(loads)
     zone_pi = np.zeros((n_zones, members, n_aps, n_locations))
-    # a thread's log-weights at its window's first slot: 0 on links, -inf on padding
-    opening = np.where(topology.support[aps, locations], 0.0, -np.inf)
 
     def advance(zones: slice) -> np.ndarray:
         """Run the threads of `zones` over every rank; their members' support losses."""
         count = zones.stop - zones.start
-        index = np.arange(count * members).reshape(count, members, 1, 1) * (n_aps * n_locations) + offsets
+        starts = np.arange(count * members).reshape(count, members) * (n_aps * n_locations)
+        index = offsets[:, None, None] + starts  # (links, count, members), as theta
         dense = np.zeros((count, members, n_aps, n_locations))
-        theta = np.broadcast_to(opening, (count, members, *opening.shape)).copy()
+        theta = np.zeros((links, count, members))  # log-weights at a window's first slot
+        rate = np.broadcast_to(inverse_rate, theta.shape).copy()  # products on it need no broadcast
         grad = np.empty_like(theta)
         scratch = np.empty_like(theta)
         for rank in range(ranks):
             p, s = divmod(rank, width)
             if rank:
                 theta -= np.multiply(eta, grad, out=scratch)
-            pi = step(theta)  # and theta becomes log(pi)
+            pi = row_softmax(theta, rows)  # and theta becomes log(pi)
 
-            lam = demand[p, zones, s][:, None]  # (count, 1, n_locations)
-            dense.reshape(-1)[index] = np.multiply(pi, inverse_rate, out=scratch)
-            slot_loads = (dense @ lam[..., None])[..., 0]
+            lam = demand[p, zones, s]  # (count, n_locations)
+            # in thread-major order each thread's writes stay within its own dense policy
+            np.multiply(pi, rate, out=scratch)
+            dense.reshape(-1)[index.transpose(1, 2, 0)] = scratch.transpose(1, 2, 0)
+            slot_loads = (dense @ lam[:, None, :, None])[..., 0]
             calendar_loads[p, zones, s] = slot_loads
             if kept is not None:
                 played = np.zeros_like(dense)
                 played.reshape(-1)[index] = pi
                 partition.calendar(kept)[p, zones, s] = played
+            slopes = np.moveaxis(load_slope(slot_loads, stacked), -1, 0)  # (n_aps, count, members)
             # mode "clip" (the indices are valid) writes straight into grad; "raise" buffers out
-            np.take(load_slope(slot_loads, stacked), aps, axis=-1, out=grad, mode="clip")
-            grad *= inverse_rate
-            grad *= per_entry(lam)
+            np.take(slopes, aps, axis=0, out=grad, mode="clip")
+            grad *= rate
+            grad *= np.take(lam.T, locations, axis=0)[..., None]
         zone_pi[zones].reshape(-1)[index] = pi
-        return count * links - np.count_nonzero(pi, axis=(0, 2, 3))
+        return count * links - np.count_nonzero(pi, axis=(0, 1))
 
-    # the fewest equal blocks of at most STACK_ENTRIES entries, in a multiple of the workers
-    workers = threads or usable_cores()
-    needed = -(-n_zones // max(1, STACK_ENTRIES // (members * aps.size)))
-    n_blocks = 1 if needed == 1 else min(n_zones, -(-needed // workers) * workers)
+    # the fewest blocks of at most STACK_ENTRIES entries, their sizes within one of each other
+    n_blocks = -(-n_zones // max(1, STACK_ENTRIES // (members * links)))
     bounds = [-(-n_zones * b // n_blocks) for b in range(n_blocks + 1)]
     blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    workers = min(n_blocks, workers)
+    workers = min(n_blocks, threads or usable_cores())
     if workers == 1:
         support_losses = sum(map(advance, blocks))
     else:

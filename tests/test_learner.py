@@ -334,8 +334,8 @@ class TestRunOnline:
             calls[stage]()
 
     def test_lockstep_blocks_match_per_slot_loop(self, rng):
-        # n_aps * n_locations = 18,000 > 2**16 / 4 zones: threads advance in
-        # blocks of 3 and 1, and must replay the per-slot scheme bit for bit
+        # the threads of 4 zones over some 9,700 links advance as one stack
+        # and must replay the per-slot scheme bit for bit
         topo = make_random_topology(rng, 6000, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
         periods, zones, width = 2, 4, 3
         horizon = periods * zones * width
@@ -376,8 +376,8 @@ class TestRunOnline:
         assert run.log.support_loss_events == losses > 0
 
     def test_compact_layout_matches_dense_eg_loop(self, rng, monkeypatch):
-        # irregular degrees: location 0 hears every AP (no padding), locations
-        # 1-49 hear one AP, the rest a random subset
+        # irregular degrees: location 0 hears every AP, locations 1-49 hear
+        # one AP, the rest a random subset
         n_aps, n_locations = 4, 6000
         support = rng.random((n_aps, n_locations)) < 0.4
         support[:, 0] = True
@@ -387,12 +387,10 @@ class TestRunOnline:
         support[rng.integers(n_aps, size=orphans.size), orphans] = True
         rate = np.where(support, rng.uniform(0.05, 4.0, support.shape), 0.0)
         topo = Topology(service_rate=rate)
-        periods, zones, width = 2, 3, 3
-        links = int(support.sum())
-        # the padding dropped is worth link rows, of which a block holds two
-        # zones: on two workers, blocks of two zones and one
-        assert (topo.neighbor_table.size - links) * zones > learner.ROW_ENTRIES * (n_aps - 1)
-        monkeypatch.setattr(learner, "STACK_ENTRIES", 2 * links)
+        periods, zones, width = 2, 9, 2
+        # some 10,300 links: a block holds 6 zones, so the 9 zones advance in
+        # blocks of 5 and 4 on two workers
+        assert STACK_ENTRIES // int(support.sum()) == 6
         monkeypatch.setattr(learner, "usable_cores", lambda: 2)
         horizon = periods * zones * width
         trace = toy_trace(rng.uniform(0.0, 1e-3, (horizon, n_locations)))
@@ -404,8 +402,7 @@ class TestRunOnline:
         assert run.log.support_loss_events > 0
         assert type(run.log.support_loss_events) is int
 
-    @pytest.mark.parametrize("row_entries", [0, 2**62], ids=["link-rows", "padded"])
-    def test_both_layouts_match_dense_eg_loop(self, rng, monkeypatch, row_entries):
+    def test_deep_link_rows_match_dense_eg_loop(self, rng, monkeypatch):
         # location 0 hears all 10 APs, so its column folds 10 entries, past the
         # 8 at which numpy's contiguous sums turn pairwise; the others hear one
         n_aps, n_locations = 10, 300
@@ -420,8 +417,7 @@ class TestRunOnline:
         partition = build_partition(horizon, zones, width)
         params = [CostParams(alpha=2, rho0=0.9), CostParams(alpha=2, rho0=0.5, psi=2.0)]
         configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (1.0, 1e4)]
-        monkeypatch.setattr(learner, "ROW_ENTRIES", row_entries)
-        # a zone of two members fills a block in either layout: three blocks on two workers
+        # a zone of two members fills a block: three blocks on two workers
         monkeypatch.setattr(learner, "STACK_ENTRIES", 2 * int(support.sum()))
         monkeypatch.setattr(learner, "usable_cores", lambda: 2)
         folds = []
@@ -432,7 +428,7 @@ class TestRunOnline:
 
         monkeypatch.setattr(learner, "row_softmax", recorded)
         runs = run_online_stack(topo, trace, partition, params, configs)
-        assert set(folds) == ({n_aps} if row_entries == 0 else set())
+        assert set(folds) == {n_aps}
         for run, member, config in zip(runs, params, configs):
             assert_matches_dense_eg_loop(run, support, rate, trace, zones, width, member, config.eta)
         assert runs[1].log.support_loss_events > 0
@@ -458,8 +454,8 @@ class TestRunOnline:
 class TestRunOnlineStack:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_members_match_their_single_runs(self, rng, alpha):
-        # two zones of 4 members over 9,736 links (in link rows) overflow
-        # STACK_ENTRIES, so the 4 zones advance in blocks of one; at alpha = 1
+        # two zones of 4 members over some 9,700 links overflow STACK_ENTRIES,
+        # so the 4 zones advance in blocks of one; at alpha = 1
         # an array alpha would change the last bit of some slopes
         topo = make_random_topology(rng, 6000, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
         periods, zones, width = 2, 4, 3
@@ -468,9 +464,7 @@ class TestRunOnlineStack:
         partition = build_partition(horizon, zones, width)
         params = [CostParams(alpha=alpha, rho0=rho0, psi=psi) for rho0, psi in [(0.5, 1.0), (0.9, 2.0)] * 2]
         configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (0.3, 1.0, 50.0, 1e4)]
-        links = int(topo.support.sum())
-        assert (topo.neighbor_table.size - links) * zones * 4 > learner.ROW_ENTRIES * 2
-        assert 2 * 4 * links > STACK_ENTRIES
+        assert 2 * 4 * int(topo.support.sum()) > STACK_ENTRIES
         runs = run_online_stack(topo, trace, partition, params, configs)
         assert len(runs) == 4
         for member, config, run in zip(params, configs, runs):
@@ -535,12 +529,9 @@ class TestBlockThreads:
 
     @staticmethod
     def blocked_stack(rng, monkeypatch):
-        # two members of a padded table under 3 * 40 entries, two zones per
-        # block: 5 zones advance in blocks of 2, 2 and 1 on one or three
-        # workers, and of 2, 1, 1 and 1 on two
+        # two members, two zones per block: 5 zones advance in blocks of 2, 2 and 1
         topo = make_random_topology(rng, 40, 3, link_prob=0.5, rate_low=0.05, rate_high=4.0)
-        monkeypatch.setattr(learner, "ROW_ENTRIES", 2**62)
-        monkeypatch.setattr(learner, "STACK_ENTRIES", 4 * topo.neighbor_table.size)
+        monkeypatch.setattr(learner, "STACK_ENTRIES", 4 * int(topo.support.sum()))
         periods, zones, width = 2, 5, 3
         horizon = periods * zones * width
         trace = toy_trace(rng.uniform(0.0, 0.2, (horizon, 40)))
@@ -548,7 +539,7 @@ class TestBlockThreads:
         configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (1.0, 1e4)]
         return topo, trace, build_partition(horizon, zones, width), params, configs
 
-    @pytest.mark.parametrize("cores", [2, 3])  # two workers, or one per block
+    @pytest.mark.parametrize("cores", [2, 3])  # 3 blocks: two workers, or one per block
     def test_worker_count_does_not_change_results(self, rng, monkeypatch, cores):
         inputs = self.blocked_stack(rng, monkeypatch)
         monkeypatch.setattr(learner, "usable_cores", lambda: 1)
