@@ -329,7 +329,7 @@ def learn(
 
     Configs that differ only in rho0, psi and eta advance as the members of
     one `run_online_stack` call, whose runs equal their single runs bit for
-    bit; `threads` caps the learner threads of each call. A stack that
+    bit; `threads` caps the learner workers of each call. A stack that
     raises, from a calendar the trace does not fit or a step that overflows,
     is left unlearned for `evaluate` to report.
     """
@@ -471,7 +471,7 @@ def _run_group(
     config: ExperimentConfig, inputs: tuple, out_dir: Path, threads: int, combos: list
 ) -> list[list]:
     """sweep.csv rows of combinations learned together, on at most `threads` learner
-    threads, and run in order on shared inputs."""
+    workers, and run in order on shared inputs."""
     period = config.zones * config.slots_per_zone
     subs = []
     for zones, rho0, alpha, eta in combos:
@@ -531,7 +531,7 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
         groups.setdefault((alpha, zones if by_zones else rho0), []).append(index)
     tasks = [[combos[i] for i in group] for group in groups.values()]
     workers = min(jobs, len(tasks))  # the pool starts all its workers up front
-    # each worker's learner gets its share of the cores, so the threads do not outnumber them
+    # each worker's learner gets its share of the cores, so its forked workers do not outnumber them
     run_group = partial(_run_group, config, (topology, trace), out, max(1, usable_cores() // workers))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,7 +11,7 @@ previous slot of the same window. Every window has the same length, so the
 threads advance in lock-step, one window rank at a time, as a stack. A
 stack holds one entry per link, in link rows (`row_softmax`; timings in
 BENCH_20.json). A large stack is cut into cache-sized blocks of zones,
-which are independent and advance concurrently on the usable cores.
+which are independent and advance at once in forked worker processes.
 
 The stack can also carry several members: runs on one trace and calendar
 that share alpha and differ in rho0, psi or eta, as the combinations of a
@@ -72,9 +72,9 @@ def column_softmax(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     shift = theta.max(axis=-2, keepdims=True)
     weights = theta - shift
-    live = weights > UNDERFLOW
+    dead = weights <= UNDERFLOW
     np.exp(np.maximum(weights, UNDERFLOW, out=weights), out=weights)
-    weights *= live
+    np.copyto(weights, 0.0, where=dead)
     totals = weights.sum(axis=-2, keepdims=True)
     weights /= totals
     return weights, shift + np.log(totals)
@@ -100,7 +100,7 @@ def row_softmax(theta: np.ndarray, rows: Sequence[tuple[int, int]]) -> np.ndarra
     weights = np.empty_like(theta)
     for entries, heads in spans:
         np.subtract(theta[entries], shift[heads], out=weights[entries])
-    dead = weights <= UNDERFLOW  # zeroed below: faster than column_softmax's product, same bits
+    dead = weights <= UNDERFLOW
     np.exp(np.maximum(weights, UNDERFLOW, out=weights), out=weights)
     np.copyto(weights, 0.0, where=dead)
     totals = weights[top].copy()
@@ -217,11 +217,11 @@ def run_online_stack(
     (zones, members, n_aps, n_locations) stack, so every output matches a
     slot-by-slot dense replay bit for bit.
     The zones are cut into the fewest blocks of at most STACK_ENTRIES
-    entries, their sizes within one of each other; the blocks advance on a
-    thread pool of `threads` workers, or else `usable_cores()`, and at most
-    one per block. Each writes only its own zones' slices of the outputs, so
-    the result does not depend on the worker count. A stack that fits in
-    one block runs on the calling thread.
+    entries, sizes within one of each other, and dealt to `threads` workers
+    (else `usable_cores()`), at most one per block: this process and forked
+    children, which inherit the inputs and write their zones' slices of the
+    outputs to shared memory, so the result does not depend on the worker
+    count. With one worker or no `fork` start method, all run here.
     A member's support losses are its link count minus its final policies'
     nonzero count. A member whose eta times `lipschitz_bound` at the trace's
     peak times the window's rank count is not finite raises: its log-weights
@@ -261,18 +261,34 @@ def run_online_stack(
     stacked = SimpleNamespace(alpha=alpha)
     for name in ("rho0", "psi", "threshold_slope"):  # against (zones, members, n_aps) loads
         setattr(stacked, name, np.array([getattr(p, name) for p in params])[:, None])
+    # the fewest blocks of at most STACK_ENTRIES entries, their sizes within one of each other
+    n_blocks = -(-n_zones // max(1, STACK_ENTRIES // (members * links)))
+    bounds = [-(-n_zones * b // n_blocks) for b in range(n_blocks + 1)]
+    blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    workers = min(n_blocks, threads or usable_cores())
+    if workers > 1:  # imported here, so one-block runs skip the imports
+        import mmap
+        import multiprocessing
+        workers = workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+    def zeros(shape: tuple) -> np.ndarray:  # an output, in memory shared with the forked workers if any
+        size = int(np.prod(shape))
+        return np.zeros(shape) if workers == 1 else np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(shape)
+
     # (T, members, ...) outputs, written through their calendar views
-    loads = np.empty((trace.horizon, members, n_aps))
+    loads = zeros((trace.horizon, members, n_aps))
     keep = any(c.keep_policies for c in configs)
-    kept = np.empty((trace.horizon, members, n_aps, n_locations)) if keep else None
+    kept = zeros((trace.horizon, members, n_aps, n_locations)) if keep else None
     calendar_loads = partition.calendar(loads)
-    zone_pi = np.zeros((n_zones, members, n_aps, n_locations))
+    zone_pi = zeros((n_zones, members, n_aps, n_locations))
 
     def advance(zones: slice) -> np.ndarray:
         """Run the threads of `zones` over every rank; their members' support losses."""
         count = zones.stop - zones.start
         starts = np.arange(count * members).reshape(count, members) * (n_aps * n_locations)
         index = offsets[:, None, None] + starts  # (links, count, members), as theta
+        scatter = np.ascontiguousarray(index.transpose(1, 2, 0))  # thread-major: each within its policy
+        values = np.empty(scatter.shape)
         dense = np.zeros((count, members, n_aps, n_locations))
         theta = np.zeros((links, count, members))  # log-weights at a window's first slot
         rate = np.broadcast_to(inverse_rate, theta.shape).copy()  # products on it need no broadcast
@@ -285,16 +301,15 @@ def run_online_stack(
             pi = row_softmax(theta, rows)  # and theta becomes log(pi)
 
             lam = demand[p, zones, s]  # (count, n_locations)
-            # in thread-major order each thread's writes stay within its own dense policy
-            np.multiply(pi, rate, out=scratch)
-            dense.reshape(-1)[index.transpose(1, 2, 0)] = scratch.transpose(1, 2, 0)
+            np.multiply(pi, rate, out=values.transpose(2, 0, 1))
+            dense.reshape(-1)[scatter] = values
             slot_loads = (dense @ lam[:, None, :, None])[..., 0]
             calendar_loads[p, zones, s] = slot_loads
             if kept is not None:
                 played = np.zeros_like(dense)
                 played.reshape(-1)[index] = pi
                 partition.calendar(kept)[p, zones, s] = played
-            slopes = np.moveaxis(load_slope(slot_loads, stacked), -1, 0)  # (n_aps, count, members)
+            slopes = load_slope(slot_loads, stacked).transpose(2, 0, 1)  # (n_aps, count, members)
             # mode "clip" (the indices are valid) writes straight into grad; "raise" buffers out
             np.take(slopes, aps, axis=0, out=grad, mode="clip")
             grad *= rate
@@ -302,19 +317,8 @@ def run_online_stack(
         zone_pi[zones].reshape(-1)[index] = pi
         return count * links - np.count_nonzero(pi, axis=(0, 1))
 
-    # the fewest blocks of at most STACK_ENTRIES entries, their sizes within one of each other
-    n_blocks = -(-n_zones // max(1, STACK_ENTRIES // (members * links)))
-    bounds = [-(-n_zones * b // n_blocks) for b in range(n_blocks + 1)]
-    blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    workers = min(n_blocks, threads or usable_cores())
-    if workers == 1:
-        support_losses = sum(map(advance, blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here, so one-block runs skip the import
-
-        # numpy's large array operations release the GIL, so the blocks advance at once
-        with ThreadPoolExecutor(workers) as pool:
-            support_losses = sum(pool.map(advance, blocks))
+    shares = [blocks[w::workers] for w in range(workers)]
+    support_losses = _advance_forked(advance, shares) if workers > 1 else sum(map(advance, blocks))
 
     zone_of_slot = partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(ranks, axis=1))
     runs = []
@@ -330,3 +334,32 @@ def run_online_stack(
         policies = np.ascontiguousarray(kept[:, m]) if config.keep_policies else None
         runs.append(OnlineRun(log=log, zone_policies=list(zone_pi[:, m]), policies=policies))
     return runs
+
+
+def _advance_forked(advance, shares: list) -> np.ndarray:
+    """Sum of `advance` over the blocks of shares[0] here and of each other share in a forked child."""
+    import multiprocessing
+
+    def run(share, send):
+        try:
+            send.send(sum(map(advance, share)))
+        except BaseException as exc:  # raised again in the caller
+            send.send(exc)
+
+    context, children = multiprocessing.get_context("fork"), []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=run, args=(share, send))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        outcomes = [sum(map(advance, shares[0]))] + [receive.recv() for _, receive in children]
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return sum(outcomes)
+    finally:
+        for child, receive in children:
+            child.join()  # a child that has not reported yet finishes its share first
+            receive.close()

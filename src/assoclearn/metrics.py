@@ -167,7 +167,7 @@ def regret(
     The bound uses the analytic Lipschitz constant at the trace's peak
     demand. regret_upper adds the benchmark's Frank-Wolfe gaps, each an
     upper bound on its window's distance from the optimum, so it bounds the
-    regret against the exact periodic optimum. `online_loads` enables the
+    regret against the exact periodic optimum; a gap rounded below 0 adds 0. `online_loads` enables the
     raw-cost regret reading and the online violation counts.
     """
     online_costs = np.asarray(online_costs, dtype=float)
@@ -199,7 +199,7 @@ def regret(
         total_online_cost=total_online,
         total_benchmark_cost=total_bench,
         regret=regret_value,
-        regret_upper=regret_value + sum(d.gap for d in benchmark.diagnostics),
+        regret_upper=regret_value + sum(max(d.gap, 0.0) for d in benchmark.diagnostics),
         zone_regret=partition.calendar(online_costs - bench_costs).sum(axis=(0, 2)).tolist(),
         prefix_regret=curve,
         lipschitz_used=float(used_l),

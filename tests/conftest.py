@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ def window_solution(topology, trace, window_slots, params, solver=None):
     slots = np.asarray(window_slots, dtype=int)
     solution = solve_static(topology, TrafficTrace(trace.demand[slots - 1]), params, solver)
     return solution.zone_policies[0], solution.zone_objectives[0], solution.diagnostics[0]
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, and stop the children."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
-import concurrent.futures
-import sys
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -107,6 +107,23 @@ class TestEgdStep:
         total = 1.0 + np.exp(UNDERFLOW + 1.0)
         np.testing.assert_array_equal(out.ravel(), [1.0 / total, np.exp(UNDERFLOW + 1.0) / total, 0.0, 0.0])
         np.testing.assert_allclose(log_norm.ravel(), [5.0 + np.log(total)], rtol=1e-15)
+
+    def test_zeroing_underflow_keeps_the_mask_products_bits(self, rng):
+        theta = rng.normal(scale=400.0, size=(3, 5, 6))
+        theta[rng.random(theta.shape) < 0.3] = -np.inf
+        theta[:, :, 0] = -np.inf  # a column with no link softmaxes to NaN
+        theta[:, 1, 1] = theta[:, 0, 1] + UNDERFLOW  # at the cut, in case it is the column's largest
+        with np.errstate(invalid="ignore"):
+            out, log_norm = column_softmax(theta)
+            # the former zeroing: a product with the mask of live weights
+            shift = theta.max(axis=-2, keepdims=True)
+            weights = theta - shift
+            live = weights > UNDERFLOW
+            weights = np.exp(np.maximum(weights, UNDERFLOW)) * live
+            totals = weights.sum(axis=-2, keepdims=True)
+        assert np.isnan(out).any() and (np.isfinite(theta) & ~live).any()
+        np.testing.assert_array_equal(out.view(np.uint64), (weights / totals).view(np.uint64))
+        np.testing.assert_array_equal(log_norm.view(np.uint64), (shift + np.log(totals)).view(np.uint64))
 
     def test_huge_gradients_stay_finite(self):
         theta = np.log(np.array([[0.5], [0.5]]))
@@ -525,7 +542,7 @@ class TestRunOnlineStack:
 
 
 class TestBlockThreads:
-    """Blocks of zones advance on a thread pool; results never depend on it."""
+    """Blocks of zones advance in forked worker processes; results never depend on them."""
 
     @staticmethod
     def blocked_stack(rng, monkeypatch):
@@ -539,68 +556,64 @@ class TestBlockThreads:
         configs = [LearnerConfig(eta=eta, keep_policies=True) for eta in (1.0, 1e4)]
         return topo, trace, build_partition(horizon, zones, width), params, configs
 
-    @pytest.mark.parametrize("cores", [2, 3])  # 3 blocks: two workers, or one per block
-    def test_worker_count_does_not_change_results(self, rng, monkeypatch, cores):
-        inputs = self.blocked_stack(rng, monkeypatch)
-        monkeypatch.setattr(learner, "usable_cores", lambda: 1)
-        serial = run_online_stack(*inputs)
-        pools = []
+    @staticmethod
+    def record_starts(monkeypatch) -> list:
+        """The worker processes started from now on, recorded as they start."""
+        process = multiprocessing.get_context("fork").Process
+        start, started = process.start, []
 
-        class Recorded(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        def recorded(self):
+            started.append(self)
+            start(self)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-        monkeypatch.setattr(learner, "usable_cores", lambda: cores)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, inside every rank
-        try:
-            threaded = run_online_stack(*inputs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools == [min(cores, 3)]
-        assert serial[1].log.support_loss_events > 0
-        for one, other in zip(serial, threaded):
+        monkeypatch.setattr(process, "start", recorded)
+        return started
+
+    @staticmethod
+    def assert_same_runs(runs, others):
+        for one, other in zip(runs, others):
             np.testing.assert_array_equal(one.log.loads, other.log.loads)
             np.testing.assert_array_equal(one.log.costs, other.log.costs)
             np.testing.assert_array_equal(one.policies, other.policies)
             np.testing.assert_array_equal(one.zone_policies, other.zone_policies)
             assert one.log.support_loss_events == other.log.support_loss_events
 
-    def test_single_block_runs_without_a_pool(self, rng, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a one-block stack started a thread pool")
+    @pytest.mark.parametrize("cores", [2, 3])  # 3 blocks: two workers, or one per block
+    def test_worker_count_does_not_change_results(self, rng, monkeypatch, cores):
+        inputs = self.blocked_stack(rng, monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 1)
+        serial = run_online_stack(*inputs)
+        started = self.record_starts(monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: cores)
+        forked = run_online_stack(*inputs)
+        assert len(started) == min(cores, 3) - 1  # this process is one of the workers
+        assert all(process.exitcode == 0 for process in started)
+        assert serial[1].log.support_loss_events > 0
+        self.assert_same_runs(serial, forked)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    def test_single_block_runs_without_a_pool(self, rng, monkeypatch):
+        started = self.record_starts(monkeypatch)
         monkeypatch.setattr(learner, "usable_cores", lambda: 4)
         topo = make_random_topology(rng, 5, 2)
         trace = toy_trace(rng.uniform(0.0, 0.5, (8, 5)))
         params = [CostParams(alpha=1, rho0=0.9)] * 2
         runs = run_online_stack(topo, trace, build_partition(8, 4, 1), params, [LearnerConfig(eta=0.5)] * 2)
         assert np.isfinite(runs[1].log.costs).all()
+        assert started == []
 
     def test_budget_of_one_thread_runs_without_a_pool(self, rng, monkeypatch):
         inputs = self.blocked_stack(rng, monkeypatch)
         monkeypatch.setattr(learner, "usable_cores", lambda: 2)
-        pools = []
-
-        class Recorded(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        started = self.record_starts(monkeypatch)
         unbudgeted = run_online_stack(*inputs)
-        assert pools == [2]
+        assert len(started) == 1
         budgeted = run_online_stack(*inputs, threads=1)
-        assert pools == [2]
-        for one, other in zip(unbudgeted, budgeted):
-            np.testing.assert_array_equal(one.log.loads, other.log.loads)
-            np.testing.assert_array_equal(one.log.costs, other.log.costs)
-            np.testing.assert_array_equal(one.policies, other.policies)
-            np.testing.assert_array_equal(one.zone_policies, other.zone_policies)
-            assert one.log.support_loss_events == other.log.support_loss_events
+        assert len(started) == 1
+        self.assert_same_runs(unbudgeted, budgeted)
+        # nor does a platform whose multiprocessing cannot fork
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        self.assert_same_runs(unbudgeted, run_online_stack(*inputs))
+        assert len(started) == 1
 
     def test_error_in_a_block_propagates(self, rng, monkeypatch):
         inputs = self.blocked_stack(rng, monkeypatch)
@@ -612,5 +625,23 @@ class TestBlockThreads:
             return load_slope(loads, params)
 
         monkeypatch.setattr(learner, "load_slope", slope_failing_in_the_last_block)
-        with pytest.raises(FloatingPointError, match="last block"):
+        with pytest.raises(FloatingPointError, match="last block"):  # advanced by this process
             run_online_stack(*inputs)
+
+    def test_error_in_a_worker_process_reaches_the_caller(self, rng, monkeypatch):
+        inputs = self.blocked_stack(rng, monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 3)
+        started = self.record_starts(monkeypatch)
+        caller = os.getpid()
+
+        def slope_failing_in_a_child(loads, params):
+            if os.getpid() != caller:
+                raise ZeroDivisionError(f"slope of {loads.shape[0]} zones in a worker")
+            return load_slope(loads, params)
+
+        monkeypatch.setattr(learner, "load_slope", slope_failing_in_a_child)
+        with pytest.raises(ZeroDivisionError, match=r"^slope of [12] zones in a worker$"):
+            run_online_stack(*inputs)
+        assert len(started) == 2
+        assert all(process.exitcode is not None for process in started)
+        assert multiprocessing.active_children() == []

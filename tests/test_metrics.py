@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ class TestRegret:
             for window in partition.windows()
         )
         assert report.regret == pytest.approx(partial, abs=1e-12)
+
+    def test_negative_gap_does_not_lower_regret_upper(self, rng):
+        topo = make_random_topology(rng, 3, 2)
+        trace = toy_trace(rng.uniform(0.1, 0.8, (6, 3)))
+        partition = build_partition(6, 2, 3)
+        params = CostParams(alpha=2, rho0=0.9)
+        solution = solve_periodic_static(topo, trace, partition, params)
+        costs, _ = replay_benchmark(solution, trace, partition, topo, params)
+        first, second = solution.diagnostics
+        # a window's Frank-Wolfe gap can round to slightly below 0
+        solution.diagnostics = [replace(first, gap=-2.7e-20), replace(second, gap=0.0)]
+        report = regret(costs, solution, trace, partition, topo, params)
+        assert report.regret == 0.0 and report.regret_upper == 0.0
+        solution.diagnostics = [replace(first, gap=-2.7e-20), replace(second, gap=1e-3)]
+        assert regret(costs, solution, trace, partition, topo, params).regret_upper == 1e-3
 
     def test_report_fields(self, rng):
         topo = make_random_topology(rng, 3, 2)
