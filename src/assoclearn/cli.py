@@ -21,9 +21,7 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +29,7 @@ import numpy as np
 from . import __version__
 from .benchmark import SolverConfig, solve_periodic_static
 from .cost import CostParams
-from .learner import LearnerConfig, OnlineRun, run_online, run_online_stack, usable_cores
+from .learner import LearnerConfig, OnlineRun, fork_map, run_online, run_online_stack, usable_cores
 from .metrics import RegretReport, peak_bound, regret, runlog_to_csv
 from .topology import (
     RadioConfig,
@@ -323,13 +321,13 @@ def _learned_key(config: ExperimentConfig) -> tuple:
 
 
 def learn(
-    configs: list, topology: Topology, trace: TrafficTrace, learned: dict, threads: int | None = None
+    configs: list, topology: Topology, trace: TrafficTrace, learned: dict, workers: int | None = None
 ) -> None:
     """Learn every config online into `learned` (see `evaluate`), one stack per (zones, alpha).
 
     Configs that differ only in rho0, psi and eta advance as the members of
     one `run_online_stack` call, whose runs equal their single runs bit for
-    bit; `threads` caps the learner workers of each call. A stack that
+    bit; `workers` caps the learner processes of each call. A stack that
     raises, from a calendar the trace does not fit or a step that overflows,
     is left unlearned for `evaluate` to report.
     """
@@ -343,7 +341,7 @@ def learn(
             steps = [_step(config, topology, trace) for config in members.values()]
             learners = [LearnerConfig(eta=eta) for eta, _ in steps]
             costs = [c.cost for c in members.values()]
-            runs = run_online_stack(topology, trace, partition, costs, learners, threads)
+            runs = run_online_stack(topology, trace, partition, costs, learners, workers)
         except ValueError:
             continue
         learned.update((key, (run, *step)) for key, run, step in zip(members, runs, steps))
@@ -468,10 +466,10 @@ SWEEP_COLUMNS = [
 
 
 def _run_group(
-    config: ExperimentConfig, inputs: tuple, out_dir: Path, threads: int, combos: list
+    config: ExperimentConfig, inputs: tuple, out_dir: Path, workers: int, combos: list
 ) -> list[list]:
-    """sweep.csv rows of combinations learned together, on at most `threads` learner
-    workers, and run in order on shared inputs."""
+    """sweep.csv rows of combinations learned together, on at most `workers` learner
+    processes, and run in order on shared inputs."""
     period = config.zones * config.slots_per_zone
     subs = []
     for zones, rho0, alpha, eta in combos:
@@ -482,7 +480,7 @@ def _run_group(
             continue
         subs.append(replace(config, zones=zones, slots_per_zone=period // zones, cost=cost, eta=eta))
     solved, learned = {}, {}
-    learn([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, learned, threads)
+    learn([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, learned, workers)
     rows = []
     for (zones, rho0, alpha, eta), sub in zip(combos, subs):
         try:
@@ -504,9 +502,11 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """All sweep combinations; one consolidated CSV plus per-combo artifacts.
 
     The topology and trace are built once, before any combination runs, so
-    an error in them ends the sweep. Combinations run in groups, one group
-    per worker, and a group's combinations that share zones and alpha are
-    learned as one stack (`learn`). Every benchmark depends on the cost, and
+    an error in them ends the sweep. Combinations run in groups, which
+    `fork_map` deals round-robin to min(jobs, groups) processes, this one
+    included (at least one); forked workers inherit the topology and trace.
+    A group's combinations that share zones and alpha are learned as one
+    stack (`learn`). Every benchmark depends on the cost, and
     the periodic one on the zones too. Without a static or dynamic benchmark
     a group is a (zones, alpha) pair, so each group is one stack; otherwise
     it is an (alpha, rho0) pair, so each distinct benchmark is solved once,
@@ -514,15 +514,9 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lists = config.sweep_lists
-    combos = list(
-        itertools.product(
-            lists.get("zones", [config.zones]),
-            lists.get("rho0", [config.cost.rho0]),
-            lists.get("alpha", [config.cost.alpha]),
-            lists.get("eta", [config.eta]),
-        )
-    )
+    # the sweep lists replace these one-value lists, which keep their order
+    lists = dict(zones=[config.zones], rho0=[config.cost.rho0], alpha=[config.cost.alpha], eta=[config.eta])
+    combos = list(itertools.product(*{**lists, **config.sweep_lists}.values()))
     topology = build_experiment_topology(config)
     trace = build_experiment_trace(config, topology)
     by_zones = not (config.benchmark_static or config.benchmark_dynamic)
@@ -530,14 +524,10 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     for index, (zones, rho0, alpha, _) in enumerate(combos):
         groups.setdefault((alpha, zones if by_zones else rho0), []).append(index)
     tasks = [[combos[i] for i in group] for group in groups.values()]
-    workers = min(jobs, len(tasks))  # the pool starts all its workers up front
+    workers = min(max(1, jobs), len(tasks))
     # each worker's learner gets its share of the cores, so its forked workers do not outnumber them
-    run_group = partial(_run_group, config, (topology, trace), out, max(1, usable_cores() // workers))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_group, tasks))
-    else:
-        done = list(map(run_group, tasks))
+    budget = max(1, usable_cores() // workers)
+    done = fork_map(lambda combos: _run_group(config, (topology, trace), out, budget, combos), tasks, workers)
     rows = dict(zip(itertools.chain(*groups.values()), itertools.chain(*done)))
 
     csv_path = out / "sweep.csv"
@@ -580,7 +570,7 @@ def main(argv=None) -> int:
             evaluation = evaluate(config, topology, build_experiment_trace(config, topology))
             run_experiment(config, evaluation, args.out, raw_config=raw)
         elif args.command == "sweep":
-            run_sweep(config, args.out, jobs=max(1, args.jobs))
+            run_sweep(config, args.out, jobs=args.jobs)
         elif args.command == "gen-topology":
             if config.radio is None:
                 raise ConfigError("key 'topology.source' must be 'generate' for gen-topology")

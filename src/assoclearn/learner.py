@@ -10,8 +10,8 @@ otherwise advances from the log-policy and gradient it stored at the
 previous slot of the same window. Every window has the same length, so the
 threads advance in lock-step, one window rank at a time, as a stack. A
 stack holds one entry per link, in link rows (`row_softmax`; timings in
-BENCH_20.json). A large stack is cut into cache-sized blocks of zones,
-which are independent and advance at once in forked worker processes.
+BENCH_20.json). A large stack is cut into cache-sized blocks of zones, which
+are independent and advance at once in forked worker processes (`fork_map`).
 
 The stack can also carry several members: runs on one trace and calendar
 that share alpha and differ in rho0, psi or eta, as the combinations of a
@@ -198,7 +198,7 @@ def run_online_stack(
     partition: TimePartition,
     params: Sequence[CostParams],
     configs: Sequence[LearnerConfig],
-    threads: int | None = None,
+    workers: int | None = None,
 ) -> list[OnlineRun]:
     """`run_online` for several (params, config) members in one pass; one run each.
 
@@ -217,11 +217,11 @@ def run_online_stack(
     (zones, members, n_aps, n_locations) stack, so every output matches a
     slot-by-slot dense replay bit for bit.
     The zones are cut into the fewest blocks of at most STACK_ENTRIES
-    entries, sizes within one of each other, and dealt to `threads` workers
-    (else `usable_cores()`), at most one per block: this process and forked
-    children, which inherit the inputs and write their zones' slices of the
-    outputs to shared memory, so the result does not depend on the worker
-    count. With one worker or no `fork` start method, all run here.
+    entries, sizes within one of each other, and dealt round-robin by
+    `fork_map` to `workers` processes (else `usable_cores()`), at most one
+    per block, this one included. Forked workers write their zones' slices
+    of the outputs to shared memory, so the result does not depend on the
+    worker count.
     A member's support losses are its link count minus its final policies'
     nonzero count. A member whose eta times `lipschitz_bound` at the trace's
     peak times the window's rank count is not finite raises: its log-weights
@@ -265,15 +265,13 @@ def run_online_stack(
     n_blocks = -(-n_zones // max(1, STACK_ENTRIES // (members * links)))
     bounds = [-(-n_zones * b // n_blocks) for b in range(n_blocks + 1)]
     blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    workers = min(n_blocks, threads or usable_cores())
-    if workers > 1:  # imported here, so one-block runs skip the imports
-        import mmap
-        import multiprocessing
-        workers = workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    workers = min(n_blocks, workers or usable_cores())
 
     def zeros(shape: tuple) -> np.ndarray:  # an output, in memory shared with the forked workers if any
-        size = int(np.prod(shape))
-        return np.zeros(shape) if workers == 1 else np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(shape)
+        if workers < 2:
+            return np.zeros(shape)
+        import mmap  # here, so one-worker runs skip the import
+        return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape)))).reshape(shape)
 
     # (T, members, ...) outputs, written through their calendar views
     loads = zeros((trace.horizon, members, n_aps))
@@ -317,8 +315,7 @@ def run_online_stack(
         zone_pi[zones].reshape(-1)[index] = pi
         return count * links - np.count_nonzero(pi, axis=(0, 1))
 
-    shares = [blocks[w::workers] for w in range(workers)]
-    support_losses = _advance_forked(advance, shares) if workers > 1 else sum(map(advance, blocks))
+    support_losses = sum(fork_map(advance, blocks, workers))
 
     zone_of_slot = partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(ranks, axis=1))
     runs = []
@@ -336,30 +333,43 @@ def run_online_stack(
     return runs
 
 
-def _advance_forked(advance, shares: list) -> np.ndarray:
-    """Sum of `advance` over the blocks of shares[0] here and of each other share in a forked child."""
-    import multiprocessing
+def fork_map(fn, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items], in item order, on `workers` processes.
 
-    def run(share, send):
+    This process maps items[::workers], and for each 0 < w < workers a child
+    forked from it maps items[w::workers]. A child inherits fn and the items
+    copy-on-write, so neither is pickled, and sends back only its results or
+    the exception it raised. Every report is read before any child is joined,
+    as a child blocks on one the pipe cannot hold; then the first exception in
+    worker order is raised again here. Below two workers, or without `fork`,
+    every item is mapped here; below two, `multiprocessing` is not imported.
+    """
+    if workers > 1:
+        import multiprocessing
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(fn, items))
+
+    def report(share, send):
         try:
-            send.send(sum(map(advance, share)))
+            send(list(map(fn, share)))
         except BaseException as exc:  # raised again in the caller
-            send.send(exc)
+            send(exc)
 
-    context, children = multiprocessing.get_context("fork"), []
+    context, children, outcomes = multiprocessing.get_context("fork"), [], []
     try:
-        for share in shares[1:]:
+        for w in range(1, workers):
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=run, args=(share, send))
+            child = context.Process(target=report, args=(items[w::workers], send.send))
             child.start()
             send.close()
             children.append((child, receive))
-        outcomes = [sum(map(advance, shares[0]))] + [receive.recv() for _, receive in children]
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return sum(outcomes)
+        report(items[::workers], outcomes.append)
+        outcomes += [receive.recv() for _, receive in children]
     finally:
         for child, receive in children:
-            child.join()  # a child that has not reported yet finishes its share first
-            receive.close()
+            receive.close()  # unread only if a child died: the others then fail to report and exit
+            child.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return [outcomes[i % workers][i // workers] for i in range(len(items))]

@@ -167,15 +167,14 @@ def regret(
     The bound uses the analytic Lipschitz constant at the trace's peak
     demand. regret_upper adds the benchmark's Frank-Wolfe gaps, each an
     upper bound on its window's distance from the optimum, so it bounds the
-    regret against the exact periodic optimum; a gap rounded below 0 adds 0. `online_loads` enables the
-    raw-cost regret reading and the online violation counts.
+    regret against the exact periodic optimum; a gap rounded below 0 adds
+    nothing. `online_loads` enables the raw-cost regret reading and the
+    online violation counts.
     """
     online_costs = np.asarray(online_costs, dtype=float)
     if online_costs.shape != (trace.horizon,):
         raise ValueError("online cost series length does not match the trace horizon")
-    bench_costs, bench_loads = replay_benchmark(
-        benchmark, trace, partition, topology, params
-    )
+    bench_costs, bench_loads = replay_benchmark(benchmark, trace, partition, topology, params)
     total_online = float(online_costs.sum())
     total_bench = float(bench_costs.sum())
     curve = prefix_regret_per_slot(online_costs, bench_costs)

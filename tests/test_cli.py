@@ -2,14 +2,17 @@ import csv
 import itertools
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from assoclearn import Topology, save_topology_json
-from assoclearn.cli import SCHEMA, _write_json, main, parse_config
+from assoclearn import Topology, TrafficTrace, save_topology_json
+from assoclearn.cli import SCHEMA, _write_json, load_config, main, parse_config, run_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -551,61 +554,50 @@ class TestSweep:
         rows = {row["rho0"]: row for row in self.read_rows(out)}
         assert int(rows["0.5"]["violations_benchmark"]) >= int(rows["1.0"]["violations_benchmark"])
 
+    @staticmethod
+    def assert_same_files(out1, out2) -> list:
+        """The files under out1, each the same bytes under out2, which holds no others."""
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        return files
+
     def test_parallel_equals_serial(self, tmp_path):
         config = self.sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         assert main(["sweep", "--config", config, "--out", str(out1)]) == 0
         assert main(["sweep", "--config", config, "--out", str(out2), "--jobs", "2"]) == 0
-        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
-        assert len(files) == 1 + 4 * 4  # sweep.csv, four files per combination
-        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-        for name in files:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert len(self.assert_same_files(out1, out2)) == 1 + 4 * 4  # sweep.csv, four files per combination
 
-    def test_pool_no_larger_than_share_groups(self, tmp_path, monkeypatch):
+    @staticmethod
+    def record_fork_map(monkeypatch) -> list:
+        """The worker counts `run_sweep` passes to `fork_map` from now on; the groups run here."""
         from assoclearn import cli
 
-        sizes = []
+        counts = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recorded(fn, items, workers):
+            counts.append(workers)
+            return list(map(fn, items))
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(cli, "fork_map", recorded)
+        return counts
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    def test_pool_no_larger_than_share_groups(self, tmp_path, monkeypatch):
+        counts = self.record_fork_map(monkeypatch)
         config = self.sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "two"), "--jobs", "500"]) == 0
-        assert sizes == [2]  # one worker per zones value; eta shares a group
+        assert counts == [2]  # one worker per zones value; eta shares a group
         assert len(self.read_rows(tmp_path / "two")) == 4
         config = self.sweep_config(tmp_path, sweep={"eta": [0.2, 0.5]})
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "one"), "--jobs", "500"]) == 0
-        assert sizes == [2]  # a single group runs without a pool
+        assert counts == [2, 1]  # a single group forks nothing
 
     @pytest.mark.parametrize("jobs, budget", [(1, 5), (2, 2), (500, 2)])
     def test_sweep_workers_share_the_cores(self, tmp_path, monkeypatch, jobs, budget):
         # 5 usable cores: one worker's learner may use all of them, two get 2 each
         from assoclearn import cli
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
 
         budgets = []
         original = cli.run_online_stack
@@ -614,12 +606,28 @@ class TestSweep:
             budgets.append(args[5])
             return original(*args)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        self.record_fork_map(monkeypatch)
         monkeypatch.setattr(cli, "usable_cores", lambda: 5)
         monkeypatch.setattr(cli, "run_online_stack", recorded)
         config = self.sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 0
         assert budgets == [budget, budget]  # one stack per zones value
+
+    def test_parallel_sweep_never_pickles_its_inputs(self, tmp_path, monkeypatch):
+        def unpicklable(self, protocol):
+            raise TypeError("a sweep worker must inherit the trace, not unpickle it")
+
+        monkeypatch.setattr(TrafficTrace, "__reduce_ex__", unpicklable)
+        config = self.sweep_config(tmp_path, sweep={"zones": [1, 2], "eta": [0.2, 0.5]})
+        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["sweep", "--config", config, "--out", str(out1), "--jobs", "1"]) == 0
+        assert main(["sweep", "--config", config, "--out", str(out2), "--jobs", "2"]) == 0
+        self.assert_same_files(out1, out2)
+
+    def test_zero_jobs_run_like_one(self, tmp_path):
+        config, _ = load_config(self.sweep_config(tmp_path, sweep={"zones": [1, 2]}))
+        one = run_sweep(config, tmp_path / "one", jobs=1)
+        assert run_sweep(config, tmp_path / "zero", jobs=0).read_bytes() == one.read_bytes()
 
     def test_inputs_built_and_benchmarks_solved_once(self, tmp_path, monkeypatch):
         from assoclearn import cli
@@ -802,3 +810,20 @@ class TestSweep:
         rows = self.read_rows(out)
         assert rows[0]["error"] == ""
         assert rows[1]["error"] != ""
+
+
+def test_start_up_loads_no_process_modules():
+    script = """
+import sys
+import numpy as np
+import assoclearn.cli
+from assoclearn import CostParams, LearnerConfig, Topology, TrafficTrace, build_partition, run_online
+assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules), "import assoclearn.cli"
+topology = Topology(service_rate=np.array([[1.0, 2.0], [2.0, 1.0]]))
+trace = TrafficTrace(demand=np.full((4, 2), 0.5))
+run_online(topology, trace, build_partition(4, 2, 2), CostParams(alpha=1.0, rho0=0.9), LearnerConfig(eta=0.5))
+assert not {"multiprocessing", "mmap"} & set(sys.modules), "one-block run_online"
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

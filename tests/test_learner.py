@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -607,13 +608,20 @@ class TestBlockThreads:
         started = self.record_starts(monkeypatch)
         unbudgeted = run_online_stack(*inputs)
         assert len(started) == 1
-        budgeted = run_online_stack(*inputs, threads=1)
+        budgeted = run_online_stack(*inputs, workers=1)
         assert len(started) == 1
         self.assert_same_runs(unbudgeted, budgeted)
         # nor does a platform whose multiprocessing cannot fork
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         self.assert_same_runs(unbudgeted, run_online_stack(*inputs))
         assert len(started) == 1
+
+    def test_negative_budget_runs_here(self, rng, monkeypatch):
+        inputs = self.blocked_stack(rng, monkeypatch)
+        monkeypatch.setattr(learner, "usable_cores", lambda: 2)
+        started = self.record_starts(monkeypatch)
+        self.assert_same_runs(run_online_stack(*inputs, workers=1), run_online_stack(*inputs, workers=-1))
+        assert started == []
 
     def test_error_in_a_block_propagates(self, rng, monkeypatch):
         inputs = self.blocked_stack(rng, monkeypatch)
@@ -645,3 +653,61 @@ class TestBlockThreads:
         assert len(started) == 2
         assert all(process.exitcode is not None for process in started)
         assert multiprocessing.active_children() == []
+
+
+class TestForkMap:
+    """`fork_map` deals items round-robin to this process and forked children."""
+
+    def test_items_come_back_in_order(self, monkeypatch):
+        started = TestBlockThreads.record_starts(monkeypatch)
+        mapped = learner.fork_map(lambda item: (10 * item, os.getpid()), list(range(7)), 3)
+        assert [value for value, _ in mapped] == [10 * item for item in range(7)]
+        pids = [pid for _, pid in mapped]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert pids == pids[:3] * 2 + pids[:1]  # item i in worker i % 3
+        assert len(started) == 2
+
+    def test_error_in_a_child_reaches_the_caller(self, monkeypatch):
+        started = TestBlockThreads.record_starts(monkeypatch)
+        caller = os.getpid()
+
+        def fail_in_a_child(item):
+            if os.getpid() != caller:
+                raise ValueError(f"item {item} in a child")
+            return item
+
+        with pytest.raises(ValueError, match=r"^item 1 in a child$"):  # the first child's, in worker order
+            learner.fork_map(fail_in_a_child, [0, 1, 2, 3], 3)
+        assert len(started) == 2
+        assert all(process.exitcode is not None for process in started)
+        assert multiprocessing.active_children() == []
+
+    def test_error_here_still_reads_a_large_child_report(self):
+        caller = os.getpid()
+
+        def large_in_a_child(item):
+            if os.getpid() == caller:
+                raise ValueError("here")
+            return bytes(2**20)  # more than a pipe holds: the child blocks until it is read
+
+        def hang(signum, frame):
+            # not an OSError, which join swallows
+            pytest.fail("fork_map joined a child before reading its report")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ValueError, match=r"^here$"):
+                learner.fork_map(large_in_a_child, [0, 1], 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 0, -1])
+    def test_fewer_than_two_workers_fork_nothing(self, monkeypatch, workers):
+        started = TestBlockThreads.record_starts(monkeypatch)
+        assert learner.fork_map(lambda item: (item, os.getpid()), "abc", workers) == [
+            (item, os.getpid()) for item in "abc"
+        ]
+        assert started == []
