@@ -2,9 +2,10 @@
 
 Everything the `assoclearn` CLI does is a thin wrapper over
 `parse_config`, `evaluate`, `run_experiment`, and `run_sweep`.
-`evaluate` returns the online run, the benchmarks and the regret report
-without writing a file; `run_experiment` writes such an evaluation and
-computes nothing. Outputs are pure functions of config plus seed, and the
+`evaluate` takes a list of configs and returns, for each, its online run,
+benchmarks and regret report (or the config error that stopped it) without
+writing a file; `run_experiment` writes one such evaluation and computes
+nothing. Outputs are pure functions of config plus seed, and the
 manifest records a content hash for every file written.
 
 Equivalent shell commands:
@@ -56,7 +57,7 @@ workdir = Path(tempfile.mkdtemp(prefix="assoclearn_demo_"))
 config = parse_config(config_doc)
 topology = build_experiment_topology(config)
 trace = build_experiment_trace(config, topology)
-evaluation = evaluate(config, topology, trace)
+(evaluation,) = evaluate([config], topology, trace)
 print("single run, in memory:")
 print(f"  auto-resolved eta = {evaluation.report.eta_used:.5f}")
 print(f"  regret = {evaluation.report.regret:.4f}")

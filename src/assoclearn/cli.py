@@ -3,9 +3,9 @@
 A single JSON document describes one experiment: where the topology and
 the demand trace come from, the zone calendar, cost parameters, the step
 size (a number or "auto" for the bound-minimizing value), and optional
-sweep lists. `evaluate` computes a config's online run, its benchmarks
-(each one `solve_periodic_static` call) and its regret report in memory.
-`run_experiment` only writes them, as deterministic functions of config
+sweep lists. `evaluate` computes configs' online runs, their benchmarks
+(each one `solve_periodic_static` call) and regret reports in memory.
+`run_experiment` writes one, each file a deterministic function of config
 plus seed: a per-slot run log CSV, regret and benchmark JSON, and a
 manifest hashing every file. `run_sweep` does both per combination.
 
@@ -315,98 +315,76 @@ def _step(config: ExperimentConfig, topology: Topology, trace: TrafficTrace) -> 
     return float(bound.eta_star), None
 
 
-def _learned_key(config: ExperimentConfig) -> tuple:
-    """Everything an online run depends on besides the shared inputs."""
-    return config.zones, config.slots_per_zone, config.cost, config.eta
+def evaluate(configs: list, topology: Topology, trace: TrafficTrace, workers: int | None = None) -> list:
+    """Each config's `Evaluation`, or the `ConfigError` that stopped it, in input order; write nothing.
 
-
-def learn(
-    configs: list, topology: Topology, trace: TrafficTrace, learned: dict, workers: int | None = None
-) -> None:
-    """Learn every config online into `learned` (see `evaluate`), one stack per (zones, alpha).
-
-    Configs that differ only in rho0, psi and eta advance as the members of
-    one `run_online_stack` call, whose runs equal their single runs bit for
-    bit; `workers` caps the learner processes of each call. A stack that
-    raises, from a calendar the trace does not fit or a step that overflows,
-    is left unlearned for `evaluate` to report.
+    A config's benchmarks are `solve_periodic_static` calls on calendars: its
+    own, one window (static) or one window per slot (dynamic). Each distinct
+    (calendar, cost, solver) is solved once, never per eta, and a failed solve
+    fails every config that shares it. Configs that share a calendar and
+    alpha learn as the members of one `run_online_stack` call, on at most
+    `workers` processes; if it raises, from a step that overflows, each
+    member learns alone. An eta of "auto" becomes the bound-minimizing step,
+    or 1.0 with a note when that step is not positive and finite. A config
+    stops at its calendar (key 'partition'), a solve ('traffic') or its
+    learner ('eta'), checked in that order.
     """
-    stacks = {}
-    for config in configs:
-        stack = stacks.setdefault((config.zones, config.slots_per_zone, config.cost.alpha), {})
-        stack[_learned_key(config)] = config
-    for (zones, slots_per_zone, _), members in stacks.items():
+    results, partitions = {}, {}
+    for i, config in enumerate(configs):
         try:
-            partition = build_partition(trace.horizon, zones, slots_per_zone)
-            steps = [_step(config, topology, trace) for config in members.values()]
-            learners = [LearnerConfig(eta=eta) for eta, _ in steps]
-            costs = [c.cost for c in members.values()]
-            runs = run_online_stack(topology, trace, partition, costs, learners, workers)
-        except ValueError:
-            continue
-        learned.update((key, (run, *step)) for key, run, step in zip(members, runs, steps))
-
-
-def evaluate(
-    config: ExperimentConfig,
-    topology: Topology,
-    trace: TrafficTrace,
-    solved: dict | None = None,
-    learned: dict | None = None,
-) -> Evaluation:
-    """Solve the benchmarks the config asks for, learn online and compute regret; write nothing.
-
-    Each benchmark is `solve_periodic_static` on a calendar: the config's,
-    one window (static) or one window per slot (dynamic). Solutions are kept
-    in `solved` under (calendar, cost, solver), never eta, so calls that pass
-    one dict share a solve, as do a periodic calendar and an equal static or
-    dynamic one. Online runs are kept in `learned` the same way, with the
-    step size and its note; `learn` fills it for many configs at once. An eta
-    of "auto" becomes the bound-minimizing step, or 1.0 with a note when that
-    step is not positive and finite.
-    """
-    try:
-        partition = build_partition(trace.horizon, config.zones, config.slots_per_zone)
-    except ValueError as exc:
-        raise ConfigError(f"key 'partition': {exc}") from None
-
-    solved = {} if solved is None else solved
-    wanted = {"benchmark": partition}
-    if config.benchmark_static:
-        wanted["benchmark_static"] = build_partition(trace.horizon, 1, trace.horizon)
-    if config.benchmark_dynamic:
-        wanted["benchmark_dynamic"] = build_partition(trace.horizon, trace.horizon, 1)
-    benchmarks = {}
-    for name, windows in wanted.items():
-        key = windows, config.cost, config.solver
-        if key not in solved:
-            try:
-                solved[key] = solve_periodic_static(topology, trace, windows, config.cost, config.solver)
-            except ValueError as exc:
-                raise ConfigError(f"key 'traffic': {exc}") from None
-        benchmarks[name] = solved[key]
-
-    learned = {} if learned is None else learned
-    key = _learned_key(config)
-    if key not in learned:
-        eta, eta_note = _step(config, topology, trace)
-        try:
-            run = run_online(topology, trace, partition, config.cost, LearnerConfig(eta=eta))
+            partitions[i] = build_partition(trace.horizon, config.zones, config.slots_per_zone)
         except ValueError as exc:
-            raise ConfigError(f"key 'eta': {exc}") from None
-        learned[key] = run, eta, eta_note
-    run, eta, eta_note = learned[key]
-    report = regret(
-        run.log.costs,
-        benchmarks["benchmark"],
-        trace,
-        partition,
-        topology,
-        config.cost,
-        eta=eta,
-        online_loads=run.log.loads,
-    )
-    return Evaluation(run=run, report=report, eta_note=eta_note, benchmarks=benchmarks)
+            results[i] = ConfigError(f"key 'partition': {exc}")
+
+    solved, benchmarks = {}, {}
+    for i, partition in partitions.items():
+        config = configs[i]
+        calendars = {"benchmark": partition}
+        if config.benchmark_static:
+            calendars["benchmark_static"] = build_partition(trace.horizon, 1, trace.horizon)
+        if config.benchmark_dynamic:
+            calendars["benchmark_dynamic"] = build_partition(trace.horizon, trace.horizon, 1)
+        chosen = {}
+        for name, windows in calendars.items():
+            key = windows, config.cost, config.solver
+            if key not in solved:
+                try:
+                    solved[key] = solve_periodic_static(topology, trace, windows, config.cost, config.solver)
+                except ValueError as exc:
+                    solved[key] = ConfigError(f"key 'traffic': {exc}")
+            if isinstance(solved[key], ConfigError):
+                results[i] = solved[key]
+                break
+            chosen[name] = solved[key]
+        else:
+            benchmarks[i] = chosen
+
+    stacks = {}
+    for i in benchmarks:
+        stacks.setdefault((partitions[i], configs[i].cost.alpha), []).append(i)
+    for (partition, _), members in stacks.items():
+        costs = [configs[i].cost for i in members]
+        steps = [_step(configs[i], topology, trace) for i in members]
+        learners = [LearnerConfig(eta=eta) for eta, _ in steps]
+        try:
+            runs = run_online_stack(topology, trace, partition, costs, learners, workers)
+        except ValueError:  # each member learns alone, so only a failing one fails
+            runs = []
+            for cost, learner in zip(costs, learners):
+                try:
+                    runs.append(run_online(topology, trace, partition, cost, learner))
+                except ValueError as exc:
+                    runs.append(ConfigError(f"key 'eta': {exc}"))
+        for i, cost, run, (eta, eta_note) in zip(members, costs, runs, steps):
+            if isinstance(run, ConfigError):
+                results[i] = run
+                continue
+            periodic = benchmarks[i]["benchmark"]
+            report = regret(
+                run.log.costs, periodic, trace, partition, topology, cost, eta=eta, online_loads=run.log.loads
+            )
+            results[i] = Evaluation(run=run, report=report, eta_note=eta_note, benchmarks=benchmarks[i])
+    return [results[i] for i in range(len(configs))]
 
 
 def run_experiment(config: ExperimentConfig, evaluation: Evaluation, out_dir, raw_config: dict | None = None):
@@ -468,8 +446,8 @@ SWEEP_COLUMNS = [
 def _run_group(
     config: ExperimentConfig, inputs: tuple, out_dir: Path, workers: int, combos: list
 ) -> list[list]:
-    """sweep.csv rows of combinations learned together, on at most `workers` learner
-    processes, and run in order on shared inputs."""
+    """sweep.csv rows of combinations evaluated in one call on shared inputs, with at most
+    `workers` learner processes, and written in order."""
     period = config.zones * config.slots_per_zone
     subs = []
     for zones, rho0, alpha, eta in combos:
@@ -479,14 +457,13 @@ def _run_group(
             subs.append(exc)
             continue
         subs.append(replace(config, zones=zones, slots_per_zone=period // zones, cost=cost, eta=eta))
-    solved, learned = {}, {}
-    learn([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, learned, workers)
+    evaluations = iter(evaluate([sub for sub in subs if isinstance(sub, ExperimentConfig)], *inputs, workers))
     rows = []
     for (zones, rho0, alpha, eta), sub in zip(combos, subs):
+        evaluation = sub if isinstance(sub, Exception) else next(evaluations)
         try:
-            if isinstance(sub, Exception):
-                raise sub
-            evaluation = evaluate(sub, *inputs, solved, learned)
+            if isinstance(evaluation, Exception):
+                raise evaluation
             run_experiment(sub, evaluation, out_dir / f"K{zones}_rho{rho0}_alpha{alpha}_eta{eta}")
         except Exception as exc:  # recorded per row; the sweep keeps going
             rows.append([zones, rho0, alpha, eta, "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
@@ -505,8 +482,8 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     an error in them ends the sweep. Combinations run in groups, which
     `fork_map` deals round-robin to min(jobs, groups) processes, this one
     included (at least one); forked workers inherit the topology and trace.
-    A group's combinations that share zones and alpha are learned as one
-    stack (`learn`). Every benchmark depends on the cost, and
+    Each group is one `evaluate` call, whose combinations that share zones
+    and alpha learn as one stack. Every benchmark depends on the cost, and
     the periodic one on the zones too. Without a static or dynamic benchmark
     a group is a (zones, alpha) pair, so each group is one stack; otherwise
     it is an (alpha, rho0) pair, so each distinct benchmark is solved once,
@@ -567,7 +544,9 @@ def main(argv=None) -> int:
         config, raw = load_config(args.config, getattr(args, "seed", None))
         if args.command == "run":
             topology = build_experiment_topology(config)
-            evaluation = evaluate(config, topology, build_experiment_trace(config, topology))
+            (evaluation,) = evaluate([config], topology, build_experiment_trace(config, topology))
+            if isinstance(evaluation, ConfigError):
+                raise evaluation
             run_experiment(config, evaluation, args.out, raw_config=raw)
         elif args.command == "sweep":
             run_sweep(config, args.out, jobs=args.jobs)

@@ -204,7 +204,7 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(ran)]) == 0
         config, raw = cli.load_config(path)
         topology = cli.build_experiment_topology(config)
-        evaluation = cli.evaluate(config, topology, cli.build_experiment_trace(config, topology))
+        (evaluation,) = cli.evaluate([config], topology, cli.build_experiment_trace(config, topology))
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_experiment solved or learned")
@@ -746,7 +746,7 @@ class TestSweep:
         monkeypatch.chdir(fresh)
         before = sorted(tmp_path.rglob("*"))
         topology = cli.build_experiment_topology(config)
-        evaluation = cli.evaluate(config, topology, cli.build_experiment_trace(config, topology))
+        (evaluation,) = cli.evaluate([config], topology, cli.build_experiment_trace(config, topology))
         assert not any(fresh.iterdir())
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -778,13 +778,28 @@ class TestSweep:
         config, _ = cli.load_config(self.sweep_config(tmp_path))
         topology = cli.build_experiment_topology(config)
         trace = cli.build_experiment_trace(config, topology)
-        solved = {}
-        first = cli.evaluate(config, topology, trace, solved)
-        second = cli.evaluate(replace(config, eta=0.2), topology, trace, solved)
+        first, second = cli.evaluate([config, replace(config, eta=0.2)], topology, trace)
         assert len(calls) == 1
         assert first.benchmarks["benchmark"] is second.benchmarks["benchmark"]
         assert (first.report.eta_used, second.report.eta_used) == (0.5, 0.2)
         assert first.report.regret != second.report.regret
+
+    def test_evaluate_returns_each_config_error_in_order(self, tmp_path):
+        from dataclasses import replace
+
+        from assoclearn import cli
+
+        config, _ = cli.load_config(overflowing_step_config(tmp_path))
+        topology = cli.build_experiment_topology(config)
+        trace = cli.build_experiment_trace(config, topology)
+        # a 5-slot period does not divide the 12-slot horizon; eta 0.5 runs
+        uneven, good = replace(config, slots_per_zone=5, eta=0.5), replace(config, eta=0.5)
+        results = cli.evaluate([uneven, config, good], topology, trace)
+        assert [type(r) for r in results] == [cli.ConfigError, cli.ConfigError, cli.Evaluation]
+        assert str(results[0]).startswith("key 'partition'")
+        assert str(results[1]).startswith("key 'eta'")
+        (alone,) = cli.evaluate([good], topology, trace)
+        assert results[2].report.to_dict() == alone.report.to_dict()
 
     def test_overflowing_step_fails_its_row_only(self, tmp_path):
         # eta 1e308 is learned in one stack with eta 0.5; the stack raises, and
