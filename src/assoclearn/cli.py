@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -276,22 +277,34 @@ def build_experiment_trace(config: ExperimentConfig, topology: Topology):
     return trace
 
 
-def _finite(value):
-    """value with every non-finite float replaced by None, which JSON writes as null."""
-    if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
+def _render(value, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=1)` nested at indent, a non-finite float as null."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + " "
     if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+        brackets = "[]"
+        floats = set(map(type, value)) == {float} and math.isfinite(sum(value))  # then none is inf or nan
+        items = map(float.__repr__, value) if floats else (_render(v, inner) for v in value)
+    elif isinstance(value, dict):
+        brackets = "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _write_json(path: Path, payload: dict) -> Path:
     """Standard JSON: a non-finite float, such as an overflowed bound, is written as null."""
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-    except ValueError:  # only a payload holding a non-finite float pays for the walk
-        text = json.dumps(_finite(payload), sort_keys=True, indent=1, allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(_render(payload, "") + "\n")
     return path
 
 
@@ -320,14 +333,14 @@ def evaluate(configs: list, topology: Topology, trace: TrafficTrace, workers: in
 
     A config's benchmarks are `solve_periodic_static` calls on calendars: its
     own, one window (static) or one window per slot (dynamic). Each distinct
-    (calendar, cost, solver) is solved once, never per eta, and a failed solve
-    fails every config that shares it. Configs that share a calendar and
-    alpha learn as the members of one `run_online_stack` call, on at most
-    `workers` processes; if it raises, from a step that overflows, each
-    member learns alone. An eta of "auto" becomes the bound-minimizing step,
-    or 1.0 with a note when that step is not positive and finite. A config
-    stops at its calendar (key 'partition'), a solve ('traffic') or its
-    learner ('eta'), checked in that order.
+    (calendar, `CostParams.function`, solver) is solved once, never per eta,
+    and a failed solve fails every config that shares it. Configs that share
+    a calendar and alpha learn as the members of one `run_online_stack`
+    call, on at most `workers` processes; if it raises, from a step that
+    overflows, each member learns alone. An eta of "auto" becomes the
+    bound-minimizing step, or 1.0 with a note when that step is not positive
+    and finite. A config stops at its calendar (key 'partition'), a solve
+    ('traffic') or its learner ('eta'), checked in that order.
     """
     results, partitions = {}, {}
     for i, config in enumerate(configs):
@@ -346,10 +359,10 @@ def evaluate(configs: list, topology: Topology, trace: TrafficTrace, workers: in
             calendars["benchmark_dynamic"] = build_partition(trace.horizon, trace.horizon, 1)
         chosen = {}
         for name, windows in calendars.items():
-            key = windows, config.cost, config.solver
+            key = windows, config.cost.function, config.solver
             if key not in solved:
                 try:
-                    solved[key] = solve_periodic_static(topology, trace, windows, config.cost, config.solver)
+                    solved[key] = solve_periodic_static(topology, trace, *key)
                 except ValueError as exc:
                     solved[key] = ConfigError(f"key 'traffic': {exc}")
             if isinstance(solved[key], ConfigError):
@@ -483,11 +496,11 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     `fork_map` deals round-robin to min(jobs, groups) processes, this one
     included (at least one); forked workers inherit the topology and trace.
     Each group is one `evaluate` call, whose combinations that share zones
-    and alpha learn as one stack. Every benchmark depends on the cost, and
-    the periodic one on the zones too. Without a static or dynamic benchmark
-    a group is a (zones, alpha) pair, so each group is one stack; otherwise
-    it is an (alpha, rho0) pair, so each distinct benchmark is solved once,
-    also with jobs > 1.
+    and alpha learn as one stack. Every benchmark depends on the cost
+    function, and the periodic one on the zones too. Without a static or
+    dynamic benchmark a group is a (zones, alpha) pair, so each group is one
+    stack; otherwise (alpha, rho0), or (alpha, None) where the function
+    ignores rho0, so each distinct benchmark is solved once, also with jobs > 1.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -499,7 +512,8 @@ def run_sweep(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     by_zones = not (config.benchmark_static or config.benchmark_dynamic)
     groups = {}
     for index, (zones, rho0, alpha, _) in enumerate(combos):
-        groups.setdefault((alpha, zones if by_zones else rho0), []).append(index)
+        shared = zones if by_zones else None if alpha == 0 and config.cost.psi == 1 else rho0
+        groups.setdefault((alpha, shared), []).append(index)
     tasks = [[combos[i] for i in group] for group in groups.values()]
     workers = min(max(1, jobs), len(tasks))
     # each worker's learner gets its share of the cores, so its forked workers do not outnumber them

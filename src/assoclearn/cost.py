@@ -49,6 +49,11 @@ class CostParams:
                 "slope psi * (1 - rho0)^-alpha overflows a float"
             )
 
+    @property
+    def function(self) -> CostParams:
+        """These params, or rho0 = 1 where the cost ignores rho0: rho - 1 at alpha = 0, psi = 1."""
+        return CostParams(alpha=0.0) if self.alpha == 0 and self.psi == 1 else self
+
 
 def validate_policy(pi: np.ndarray, topology: Topology, atol: float = 1e-9) -> None:
     """Raise unless pi is a column-stochastic matrix supported on the topology."""

@@ -15,9 +15,9 @@ are independent and advance at once in forked worker processes (`fork_map`).
 
 The stack can also carry several members: runs on one trace and calendar
 that share alpha and differ in rho0, psi or eta, as the combinations of a
-sweep do. Each (zone, member) pair is then one thread with its own step
-size and threshold, and each member's run equals its one-member run bit
-for bit (`run_online_stack`).
+sweep do. Each (zone, learner) pair is then one thread, a learner being a
+distinct cost function and eta, and each member's run equals its
+one-member run bit for bit (`run_online_stack`).
 """
 
 from __future__ import annotations
@@ -203,18 +203,19 @@ def run_online_stack(
     """`run_online` for several (params, config) members in one pass; one run each.
 
     The members share the trace, the calendar and alpha, which must stay a
-    scalar (see `load_slope`), and may differ in rho0, psi and eta. Every
-    output matches the member's own one-member run bit for bit.
+    scalar (see `load_slope`), and may differ in rho0, psi and eta. Members
+    with the same (`CostParams.function`, eta) share one learner's threads,
+    and every output matches the member's own one-member run bit for bit.
 
     With the demand in `TimePartition.calendar` layout, rank
     p * slots_per_zone + s of window k is the slot at [p, k, s]. The loop
     therefore runs over the periods * slots_per_zone ranks and advances the
-    (zone, member) threads of blocks of zones as one log-policy stack of
-    shape (links, zones, members), in link rows of `Topology.neighbor_table`:
+    (zone, learner) threads of blocks of zones as one log-policy stack of
+    shape (links, zones, learners), in link rows of `Topology.neighbor_table`:
     the locations sorted by falling degree (stable), and row r kept only
     over those of degree > r, so no entry is padding. The step is
     `row_softmax`. Loads come from the policies scattered back to a dense
-    (zones, members, n_aps, n_locations) stack, so every output matches a
+    (zones, learners, n_aps, n_locations) stack, so every output matches a
     slot-by-slot dense replay bit for bit.
     The zones are cut into the fewest blocks of at most STACK_ENTRIES
     entries, sizes within one of each other, and dealt round-robin by
@@ -222,10 +223,11 @@ def run_online_stack(
     per block, this one included. Forked workers write their zones' slices
     of the outputs to shared memory, so the result does not depend on the
     worker count.
-    A member's support losses are its link count minus its final policies'
-    nonzero count. A member whose eta times `lipschitz_bound` at the trace's
-    peak times the window's rank count is not finite raises: its log-weights
-    could overflow to -inf, and a column of them all -inf softmaxes to NaN.
+    A member's support losses are its learner's link count minus its final
+    policies' nonzero count. A member whose eta times `lipschitz_bound` at
+    the trace's peak times the window's rank count is not finite raises: its
+    log-weights could overflow to -inf, and a column of them all -inf
+    softmaxes to NaN.
     """
     if trace.n_locations != topology.n_locations:
         raise ValueError("trace and topology disagree on the number of locations")
@@ -241,7 +243,9 @@ def run_online_stack(
         if not np.isfinite(config.eta * lipschitz_bound(topology, trace.max_intensity, member) * ranks):
             raise ValueError(f"eta {config.eta} times the trace's gradient bound over a window overflows")
 
-    members = len(configs)
+    distinct = {}  # (cost function, eta) -> learner; members that share both play the same policies
+    learner_of = [distinct.setdefault((p.function, c.eta), len(distinct)) for p, c in zip(params, configs)]
+    learners = len(distinct)
     n_aps, n_locations = topology.n_aps, topology.n_locations
     table = topology.neighbor_table
     degree = topology.support.sum(axis=0)
@@ -256,13 +260,13 @@ def run_online_stack(
     # flat position of each entry in one thread's dense (n_aps, n_locations) policy
     offsets = aps * n_locations + locations
     demand = partition.calendar(trace.demand)
-    # per-member parameters, shaped to broadcast over (..., zones, members) stacks
-    eta = np.array([c.eta for c in configs])
+    # per-learner parameters, shaped to broadcast over (..., zones, learners) stacks
+    eta = np.array([step for _, step in distinct])
     stacked = SimpleNamespace(alpha=alpha)
-    for name in ("rho0", "psi", "threshold_slope"):  # against (zones, members, n_aps) loads
-        setattr(stacked, name, np.array([getattr(p, name) for p in params])[:, None])
+    for name in ("rho0", "psi", "threshold_slope"):  # against (zones, learners, n_aps) loads
+        setattr(stacked, name, np.array([getattr(p, name) for p, _ in distinct])[:, None])
     # the fewest blocks of at most STACK_ENTRIES entries, their sizes within one of each other
-    n_blocks = -(-n_zones // max(1, STACK_ENTRIES // (members * links)))
+    n_blocks = -(-n_zones // max(1, STACK_ENTRIES // (learners * links)))
     bounds = [-(-n_zones * b // n_blocks) for b in range(n_blocks + 1)]
     blocks = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
     workers = min(n_blocks, workers or usable_cores())
@@ -273,22 +277,22 @@ def run_online_stack(
         import mmap  # here, so one-worker runs skip the import
         return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape)))).reshape(shape)
 
-    # (T, members, ...) outputs, written through their calendar views
-    loads = zeros((trace.horizon, members, n_aps))
+    # (T, learners, ...) outputs, written through their calendar views
+    loads = zeros((trace.horizon, learners, n_aps))
     keep = any(c.keep_policies for c in configs)
-    kept = zeros((trace.horizon, members, n_aps, n_locations)) if keep else None
+    kept = zeros((trace.horizon, learners, n_aps, n_locations)) if keep else None
     calendar_loads = partition.calendar(loads)
-    zone_pi = zeros((n_zones, members, n_aps, n_locations))
+    zone_pi = zeros((n_zones, learners, n_aps, n_locations))
 
     def advance(zones: slice) -> np.ndarray:
-        """Run the threads of `zones` over every rank; their members' support losses."""
+        """Run the threads of `zones` over every rank; their learners' support losses."""
         count = zones.stop - zones.start
-        starts = np.arange(count * members).reshape(count, members) * (n_aps * n_locations)
-        index = offsets[:, None, None] + starts  # (links, count, members), as theta
+        starts = np.arange(count * learners).reshape(count, learners) * (n_aps * n_locations)
+        index = offsets[:, None, None] + starts  # (links, count, learners), as theta
         scatter = np.ascontiguousarray(index.transpose(1, 2, 0))  # thread-major: each within its policy
         values = np.empty(scatter.shape)
-        dense = np.zeros((count, members, n_aps, n_locations))
-        theta = np.zeros((links, count, members))  # log-weights at a window's first slot
+        dense = np.zeros((count, learners, n_aps, n_locations))
+        theta = np.zeros((links, count, learners))  # log-weights at a window's first slot
         rate = np.broadcast_to(inverse_rate, theta.shape).copy()  # products on it need no broadcast
         grad = np.empty_like(theta)
         scratch = np.empty_like(theta)
@@ -307,7 +311,7 @@ def run_online_stack(
                 played = np.zeros_like(dense)
                 played.reshape(-1)[index] = pi
                 partition.calendar(kept)[p, zones, s] = played
-            slopes = load_slope(slot_loads, stacked).transpose(2, 0, 1)  # (n_aps, count, members)
+            slopes = load_slope(slot_loads, stacked).transpose(2, 0, 1)  # (n_aps, count, learners)
             # mode "clip" (the indices are valid) writes straight into grad; "raise" buffers out
             np.take(slopes, aps, axis=0, out=grad, mode="clip")
             grad *= rate
@@ -319,7 +323,7 @@ def run_online_stack(
 
     zone_of_slot = partition.by_slot(np.arange(1, n_zones + 1)[:, None].repeat(ranks, axis=1))
     runs = []
-    for m, (member, config) in enumerate(zip(params, configs)):
+    for m, member, config in zip(learner_of, params, configs):
         member_loads = np.ascontiguousarray(loads[:, m])
         log = RunLog(
             costs=penalized_values(member_loads, member).sum(axis=1),

@@ -218,10 +218,10 @@ def runlog_to_csv(log: RunLog, path) -> None:
 
     Rows are CSV with CRLF line ends and floats written by repr.
     """
-    columns = (log.zones, log.costs, log.total_loads, log.violations.sum(axis=1))
-    rows = (
+    columns = (c.tolist() for c in (log.zones, log.costs, log.total_loads, log.violations.sum(axis=1)))
+    rows = [
         f"{t},{zone},{cost!r},{total!r},{count}\r\n"
-        for t, (zone, cost, total, count) in enumerate(zip(*(c.tolist() for c in columns)), 1)
-    )
+        for t, zone, cost, total, count in zip(range(1, log.horizon + 1), *columns)
+    ]
     with open(path, "w", newline="") as fh:
         fh.write("t,zone,V,total_load,violations\r\n" + "".join(rows))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -458,6 +459,65 @@ class TestWriteJson:
         path = _write_json(tmp_path / "out.json", payload)
         assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
+    FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1 / 3, 2.5, 1.7976931348623157e308, 1e-7]
+    NON_FINITE = [math.inf, -math.inf, math.nan]
+    INTS = [0, 1, -1, 42, -(2**31), 2**53 + 1, 2**70, -(2**70)]
+    TEXTS = ["", "plain", 'say "hi"', "back\\slash", "tab\tline\nend\r", "\x00\x01\x1f\x7f"]
+    TEXTS += ["é ß 中 \u2028 \U0001f600"]
+
+    def draw(self, rng, depth):
+        """A random JSON-able value nested at most depth containers deep."""
+        kind = rng.randrange(10 if depth else 6)
+        if kind == 0:
+            return rng.uniform(-1e3, 1e3) if rng.random() < 0.5 else rng.choice(self.FLOATS + self.NON_FINITE)
+        if kind == 1:
+            return rng.choice(self.INTS)
+        if kind == 2:
+            return rng.choice([True, False, None])
+        if kind == 3:
+            return rng.choice(self.TEXTS)
+        if kind == 4:  # a float list, maybe one item long, now and then with an inf or nan
+            pool = self.FLOATS + self.NON_FINITE * (rng.random() < 0.3)
+            return [rng.choice(pool) for _ in range(rng.choice([1, 1, 2, 5]))]
+        if kind == 5:
+            return rng.choice([[], (), {}])
+        items = [self.draw(rng, depth - 1) for _ in range(rng.randrange(5))]
+        if kind == 6:
+            return items
+        if kind == 7:
+            return tuple(items)
+        return {rng.choice(self.TEXTS) + str(i): item for i, item in enumerate(items)}
+
+    @staticmethod
+    def nulled(value):
+        """value with inf and nan as None, the reading `_write_json` writes."""
+        if isinstance(value, dict):
+            return {k: TestWriteJson.nulled(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [TestWriteJson.nulled(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    def test_random_payloads_are_written_as_json_dumps_writes_them(self, tmp_path):
+        rng, non_finite = random.Random(24), 0
+        for i in range(200):
+            more = [self.draw(rng, 3) for _ in range(rng.randrange(3))]
+            payload = {"value": self.draw(rng, 4), "more": more}
+            expected = json.dumps(self.nulled(payload), sort_keys=True, indent=1) + "\n"
+            non_finite += expected != json.dumps(payload, sort_keys=True, indent=1) + "\n"
+            assert _write_json(tmp_path / f"{i}.json", payload).read_text() == expected
+        assert non_finite > 20  # both readings were drawn often
+
+    def test_numpy_floats_are_written_as_floats_and_other_types_rejected(self, tmp_path):
+        payload = {"x": np.float64(0.1), "xs": [np.float64(1 / 3), 2.0], "big": np.float64(1e16)}
+        path = _write_json(tmp_path / "out.json", payload)
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        nan = _write_json(tmp_path / "nan.json", {"xs": [np.float64("nan")]})
+        assert nan.read_text() == '{\n "xs": [\n  null\n ]\n}\n'
+        for bad in (Path("trace.csv"), np.int64(3), np.bool_(True)):
+            with pytest.raises(TypeError):
+                _write_json(tmp_path / "bad.json", {"value": bad})
+        assert not (tmp_path / "bad.json").exists()
+
 
 class TestGenerators:
     def test_gen_topology_round_trip(self, tmp_path):
@@ -629,7 +689,9 @@ class TestSweep:
         one = run_sweep(config, tmp_path / "one", jobs=1)
         assert run_sweep(config, tmp_path / "zero", jobs=0).read_bytes() == one.read_bytes()
 
-    def test_inputs_built_and_benchmarks_solved_once(self, tmp_path, monkeypatch):
+    def count_sweep_calls(self, tmp_path, monkeypatch, psi):
+        """Calls of the input builders and the solver in a zones x rho0 x eta sweep
+        with the static benchmark at the given psi."""
         from assoclearn import cli
 
         calls = {}
@@ -647,14 +709,25 @@ class TestSweep:
             counted(name)
         config = self.csv_sweep_config(
             tmp_path,
+            cost={"alpha": 0.0, "rho0": 1.0, "psi": psi},
             sweep={"zones": [1, 2], "rho0": [0.5, 1.0], "eta": [0.2, 0.5]},
             benchmarks={"static": True},
         )
         calls.clear()  # writing the trace built the topology once
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert len(self.read_rows(tmp_path / "out")) == 8
-        # the periodic benchmarks depend on (zones, rho0), the static ones on rho0 alone, never on eta:
-        # 4 periodic and 2 static solves
+        return calls
+
+    def test_inputs_built_and_benchmarks_solved_once(self, tmp_path, monkeypatch):
+        # at alpha = 0 and psi = 1 the cost function ignores rho0, so the periodic benchmarks
+        # depend on the zones alone and the static one on nothing swept: 2 periodic and 1 static solve
+        calls = self.count_sweep_calls(tmp_path, monkeypatch, psi=1.0)
+        assert calls == {"build_topology": 1, "load_trace_csv": 1, "solve_periodic_static": 3}
+
+    def test_benchmarks_that_depend_on_rho0_solved_once_per_rho0(self, tmp_path, monkeypatch):
+        # at psi = 2 the periodic benchmarks depend on (zones, rho0), the static ones on rho0,
+        # never on eta: 4 periodic and 2 static solves
+        calls = self.count_sweep_calls(tmp_path, monkeypatch, psi=2.0)
         assert calls == {"build_topology": 1, "load_trace_csv": 1, "solve_periodic_static": 6}
 
     def test_combination_files_match_single_runs(self, tmp_path):
@@ -783,6 +856,32 @@ class TestSweep:
         assert first.benchmarks["benchmark"] is second.benchmarks["benchmark"]
         assert (first.report.eta_used, second.report.eta_used) == (0.5, 0.2)
         assert first.report.regret != second.report.regret
+
+    @pytest.mark.parametrize("psi, solves", [(1.0, 1), (2.0, 2)])
+    def test_evaluate_solves_each_cost_function_once(self, tmp_path, monkeypatch, psi, solves):
+        from dataclasses import replace
+
+        from assoclearn import CostParams, cli
+
+        calls = []
+        original = cli.solve_periodic_static
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "solve_periodic_static", counted)
+        config, _ = cli.load_config(self.sweep_config(tmp_path))
+        topology = cli.build_experiment_topology(config)
+        trace = cli.build_experiment_trace(config, topology)
+        configs = [replace(config, cost=CostParams(alpha=0.0, rho0=rho0, psi=psi)) for rho0 in (0.5, 1.0)]
+        evaluations = cli.evaluate(configs, topology, trace)
+        assert len(calls) == solves
+        for sub, evaluation in zip(configs, evaluations):
+            assert evaluation.run.log.rho0 == sub.cost.rho0
+            alone = cli.evaluate([sub], topology, trace)[0]
+            np.testing.assert_array_equal(evaluation.run.log.costs, alone.run.log.costs)
+            assert evaluation.report.violations_online == alone.report.violations_online
 
     def test_evaluate_returns_each_config_error_in_order(self, tmp_path):
         from dataclasses import replace

@@ -74,6 +74,26 @@ class TestCostParams:
         assert [f.name for f in dataclasses.fields(a)] == ["alpha", "rho0", "psi"]
         assert "threshold_slope" not in repr(a)
 
+    def test_function_drops_rho0_only_where_the_cost_ignores_it(self):
+        # at alpha = 0 and psi = 1 the penalized cost is rho - 1 on both branches, with slope 1
+        shared = {CostParams(alpha=0.0, rho0=rho0).function for rho0 in (0.3, 0.5, 1.0)}
+        assert shared == {CostParams(alpha=0.0)}
+        loads = np.linspace(0.0, 2.0, 81)
+        for rho0 in (0.3, 0.5):
+            params = CostParams(alpha=0.0, rho0=rho0)
+            np.testing.assert_array_equal(load_slope(loads, params), load_slope(loads, params.function))
+            np.testing.assert_allclose(
+                penalized_values(loads, params), penalized_values(loads, params.function), rtol=0, atol=1e-15
+            )
+        for params in (
+            CostParams(alpha=0.0, rho0=0.5, psi=2.0),
+            CostParams(alpha=0.0, rho0=1.0, psi=0.5),
+            CostParams(alpha=1.0, rho0=0.5),
+            CostParams(alpha=2.0, rho0=0.9, psi=1.0),
+        ):
+            assert params.function is params
+        assert [f.name for f in dataclasses.fields(CostParams)] == ["alpha", "rho0", "psi"]
+
 
 class TestApLoad:
     def test_zero_demand(self, two_ap_topology):

@@ -496,6 +496,39 @@ class TestRunOnlineStack:
             assert run.log.support_loss_events == single.log.support_loss_events
         assert runs[-1].log.support_loss_events > 0
 
+    def test_members_with_one_cost_function_and_eta_share_threads(self, rng, monkeypatch):
+        # at alpha = 0 and psi = 1, rho0 0.5 and 1.0 name one cost function, so
+        # rho0 {0.5, 1.0} x eta {0.2, 0.5} advances 2 learners' threads, not 4
+        topo = make_random_topology(rng, 40, 3)
+        periods, zones, width = 2, 3, 4
+        horizon = periods * zones * width
+        trace = toy_trace(rng.uniform(0.0, 0.2, (horizon, 40)))
+        partition = build_partition(horizon, zones, width)
+        members = [(rho0, eta) for rho0 in (0.5, 1.0) for eta in (0.2, 0.5)]
+        params = [CostParams(alpha=0.0, rho0=rho0) for rho0, _ in members]
+        configs = [LearnerConfig(eta=eta, keep_policies=True) for _, eta in members]
+        shapes, original = [], learner.row_softmax
+
+        def recorded(theta, rows):
+            shapes.append(theta.shape)
+            return original(theta, rows)
+
+        monkeypatch.setattr(learner, "row_softmax", recorded)
+        runs = run_online_stack(topo, trace, partition, params, configs)
+        assert len(shapes) == periods * width and {shape[1:] for shape in shapes} == {(zones, 2)}
+        for member, config, run in zip(params, configs, runs):
+            single = run_online(topo, trace, partition, member, config)
+            np.testing.assert_array_equal(run.log.loads, single.log.loads)
+            np.testing.assert_array_equal(run.log.costs, single.log.costs)
+            np.testing.assert_array_equal(run.log.violations, single.log.violations)
+            np.testing.assert_array_equal(run.policies, single.policies)
+            np.testing.assert_array_equal(run.zone_policies, single.zone_policies)
+            assert run.log.rho0 == single.log.rho0 == member.rho0
+            assert run.log.support_loss_events == single.log.support_loss_events
+        # the members of a learner play alike but keep their own thresholds
+        np.testing.assert_array_equal(runs[0].log.loads, runs[2].log.loads)
+        assert runs[0].log.violations.sum() > runs[2].log.violations.sum()
+
     def test_policies_kept_only_where_asked(self, rng):
         topo = make_random_topology(rng, 5, 2)
         trace = toy_trace(rng.uniform(0.0, 0.5, (4, 5)))
