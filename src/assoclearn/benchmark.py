@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cost import CostParams, lipschitz_bound, load_slope, penalized_values
-from .learner import column_softmax
+from .learner import column_softmax, fork_map, usable_cores
 from .topology import Topology
 from .traffic import TimePartition, TrafficTrace, build_partition
 
@@ -35,6 +35,9 @@ RESTART_PERIOD = 250  # accepted iterations after which momentum restarts
 STEP_GROWTH = 1.25  # L shrinks by this factor after an accepted iteration
 ROUNDING = 1e-12  # relative slack of the step test for rounding in f
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny  # TINY floors a restarted log z
+# Stack entries from which a solve forks: a fork costs about 3 ms, the first 10 ms more to import
+# multiprocessing; stacks of 288,000 entries took 8-10 ms to solve, one of 864,000 about 150 ms.
+SPLIT_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -97,22 +100,22 @@ def solve_windows(
     demands: np.ndarray,
     params: CostParams,
     solver: SolverConfig | None = None,
+    workers: int | None = None,
 ) -> BenchmarkSolution:
     """Minimize every window's aggregated objective from the uniform split.
 
     demands is (n_windows, n_locations, window_length), as from
-    `TimePartition.by_window`. All windows advance in lock-step as one stack,
+    `TimePartition.by_window`. The windows advance in lock-step as one stack,
     with first curvature L = window_length * L_k. Windows without demand, or
     whose curvature is too small to invert, keep the uniform split. A window
     at the iteration cap returns its last y with its gap and converged=False;
-    a first curvature that overflows raises ValueError.
+    a first curvature that overflows raises ValueError. Windows do not
+    interact, so a stack of SPLIT_ENTRIES or more entries is dealt round-robin
+    into min(workers, n_windows) stacks (workers None or 0: `usable_cores()`)
+    that `fork_map` solves at once, with the same result.
     """
     solver = solver or SolverConfig()
     n_windows, _, window_length = demands.shape
-    support, inverse_rate = topology.support, topology.inverse_rate
-    opening = np.where(support, 0.0, -np.inf)  # log-weights of the uniform split
-    uniform, log_norm = column_softmax(opening)
-    pi = np.repeat(uniform[None], n_windows, axis=0)
     peaks = demands.max(axis=(1, 2))
     lipschitz = np.array([lipschitz_bound(topology, float(p), params) for p in peaks])
     with np.errstate(over="ignore"):
@@ -124,6 +127,26 @@ def solve_windows(
             f"window {k + 1}: step bound {window_length} * L is not finite "
             f"(peak demand {peaks[k]}, L = {lipschitz[k]})"
         )
+    size = demands.size * topology.n_aps  # windows x APs x locations x window_length
+    stacks = min(n_windows, workers or usable_cores()) if size >= SPLIT_ENTRIES else 1
+    # window k goes to stack k mod stacks, which mixes the slow windows where they cluster
+    deals = [slice(s, None, stacks) for s in range(stacks)]
+    parts = fork_map(lambda k: _lockstep(topology, demands[k], params, solver, bounds[k]), deals, stacks)
+    order = np.argsort(np.concatenate([np.arange(n_windows)[k] for k in deals]))  # back to window order
+    pi, iterations, gaps, converged = (np.concatenate(part)[order] for part in zip(*parts))
+    values = _objectives((pi * topology.inverse_rate) @ demands, params)
+    diagnostics = [WindowDiagnostics(*d) for d in zip(iterations.tolist(), gaps.tolist(), converged.tolist())]
+    return BenchmarkSolution(list(pi), values.tolist(), diagnostics)
+
+
+def _lockstep(topology, demands, params, solver, bounds) -> tuple:
+    """(policies, iterations, gaps, converged) of windows solved as one lock-step stack
+    from first curvatures bounds; see `solve_windows`."""
+    n_windows = demands.shape[0]
+    support, inverse_rate = topology.support, topology.inverse_rate
+    opening = np.where(support, 0.0, -np.inf)  # log-weights of the uniform split
+    uniform, log_norm = column_softmax(opening)
+    pi = np.repeat(uniform[None], n_windows, axis=0)
     iterations, gaps = np.zeros(n_windows, dtype=int), np.zeros(n_windows)
     converged = np.ones(n_windows, dtype=bool)
     with np.errstate(divide="ignore", over="ignore"):
@@ -219,12 +242,7 @@ def solve_windows(
             x[reset] = z[reset] = column_softmax(log_z[reset])[0]
             loads_x[reset] = loads_z[reset] = (z[reset] * inverse_rate) @ active_demands[reset]
             values_x[reset] = _objectives(loads_x[reset], params)
-
-    values = _objectives((pi * inverse_rate) @ demands, params)
-    diagnostics = [
-        WindowDiagnostics(*d) for d in zip(iterations.tolist(), gaps.tolist(), converged.tolist())
-    ]
-    return BenchmarkSolution(list(pi), values.tolist(), diagnostics)
+    return pi, iterations, gaps, converged
 
 
 def solve_periodic_static(
@@ -233,9 +251,10 @@ def solve_periodic_static(
     partition: TimePartition,
     params: CostParams,
     solver: SolverConfig | None = None,
+    workers: int | None = None,
 ) -> BenchmarkSolution:
     """One optimal static policy per window of the partition."""
-    return solve_windows(topology, partition.by_window(trace.demand), params, solver)
+    return solve_windows(topology, partition.by_window(trace.demand), params, solver, workers)
 
 
 def solve_static(
@@ -243,10 +262,11 @@ def solve_static(
     trace: TrafficTrace,
     params: CostParams,
     solver: SolverConfig | None = None,
+    workers: int | None = None,
 ) -> BenchmarkSolution:
     """Single static policy for the whole horizon (one all-covering window)."""
     partition = build_partition(trace.horizon, 1, trace.horizon)
-    return solve_periodic_static(topology, trace, partition, params, solver)
+    return solve_periodic_static(topology, trace, partition, params, solver, workers)
 
 
 def solve_dynamic(
@@ -254,7 +274,8 @@ def solve_dynamic(
     trace: TrafficTrace,
     params: CostParams,
     solver: SolverConfig | None = None,
+    workers: int | None = None,
 ) -> BenchmarkSolution:
     """Per-slot optimal policies (every window a single slot)."""
     partition = build_partition(trace.horizon, trace.horizon, 1)
-    return solve_periodic_static(topology, trace, partition, params, solver)
+    return solve_periodic_static(topology, trace, partition, params, solver, workers)

@@ -335,12 +335,13 @@ def evaluate(configs: list, topology: Topology, trace: TrafficTrace, workers: in
     own, one window (static) or one window per slot (dynamic). Each distinct
     (calendar, `CostParams.function`, solver) is solved once, never per eta,
     and a failed solve fails every config that shares it. Configs that share
-    a calendar and alpha learn as the members of one `run_online_stack`
-    call, on at most `workers` processes; if it raises, from a step that
-    overflows, each member learns alone. An eta of "auto" becomes the
-    bound-minimizing step, or 1.0 with a note when that step is not positive
-    and finite. A config stops at its calendar (key 'partition'), a solve
-    ('traffic') or its learner ('eta'), checked in that order.
+    a calendar and alpha learn as the members of one `run_online_stack` call;
+    if it raises, from a step that overflows, each member learns alone. Each
+    solve and each stack runs on at most `workers` processes (None: every
+    usable core). An eta of "auto" becomes the bound-minimizing step, or 1.0
+    with a note when that step is not positive and finite. A config stops at
+    its calendar (key 'partition'), a solve ('traffic') or its learner ('eta'),
+    checked in that order.
     """
     results, partitions = {}, {}
     for i, config in enumerate(configs):
@@ -362,7 +363,7 @@ def evaluate(configs: list, topology: Topology, trace: TrafficTrace, workers: in
             key = windows, config.cost.function, config.solver
             if key not in solved:
                 try:
-                    solved[key] = solve_periodic_static(topology, trace, *key)
+                    solved[key] = solve_periodic_static(topology, trace, *key, workers)
                 except ValueError as exc:
                     solved[key] = ConfigError(f"key 'traffic': {exc}")
             if isinstance(solved[key], ConfigError):

@@ -18,7 +18,10 @@ from assoclearn import (
     solve_static,
     validate_policy,
 )
+from assoclearn import benchmark
+from assoclearn.benchmark import solve_windows
 from assoclearn.cli import build_experiment_topology, build_experiment_trace, parse_config
+from assoclearn.learner import fork_map
 from assoclearn.metrics import replay_benchmark
 from conftest import make_random_topology, window_solution
 from oracles import grid_min_window_objective, reference_frank_wolfe_gap
@@ -240,6 +243,72 @@ class TestPeriodicStatic:
             assert diag.converged == diagnostics[k].converged
             assert objective == pytest.approx(solution.zone_objectives[k], rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(pi, solution.zone_policies[k], rtol=0, atol=1e-12)
+
+
+class TestSplitStacks:
+    """Solves of SPLIT_ENTRIES or more entries deal their windows to forked workers."""
+
+    IDLE = 2  # the window without demand
+
+    @pytest.fixture(autouse=True)
+    def split_every_solve(self, monkeypatch):
+        monkeypatch.setattr(benchmark, "SPLIT_ENTRIES", 0)
+
+    @staticmethod
+    def record_fork_map(monkeypatch) -> list:
+        """The worker counts `solve_windows` passes to `fork_map` from now on."""
+        counts = []
+
+        def recorded(fn, items, workers):
+            counts.append(workers)
+            return fork_map(fn, items, workers)
+
+        monkeypatch.setattr(benchmark, "fork_map", recorded)
+        return counts
+
+    def windows(self):
+        """Seven windows of growing demand, one idle, capped one below the largest count."""
+        rng = np.random.default_rng(25)
+        topo = make_random_topology(rng, 4, 3)
+        demands = rng.uniform(0.1, 0.9, (7, 4, 3)) * np.linspace(0.3, 2.5, 7)[:, None, None]
+        demands[self.IDLE] = 0.0
+        params = CostParams(alpha=2, rho0=0.8)
+        free = solve_windows(topo, demands, params, workers=1)
+        solver = SolverConfig(max_iterations=max(d.iterations for d in free.diagnostics) - 1)
+        return topo, demands, params, solver
+
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch):
+        topo, demands, params, solver = self.windows()
+        counts = self.record_fork_map(monkeypatch)
+        one, *split = [solve_windows(topo, demands, params, solver, workers) for workers in (1, 2, 3)]
+        assert counts == [1, 2, 3]
+        diagnostics = one.diagnostics
+        assert diagnostics[self.IDLE].iterations == 0 and diagnostics[self.IDLE].converged
+        assert not all(d.converged for d in diagnostics)
+        assert len({d.iterations for d in diagnostics if d.converged and d.iterations}) >= 3
+        for solution in split:
+            assert solution.diagnostics == diagnostics
+            assert solution.zone_objectives == one.zone_objectives
+            assert np.array(solution.zone_policies).tobytes() == np.array(one.zone_policies).tobytes()
+
+    def test_outputs_come_back_in_window_order(self):
+        topo, demands, params, solver = self.windows()
+        split = solve_windows(topo, demands, params, solver, workers=3)
+        for k in range(len(demands)):
+            alone = solve_windows(topo, demands[k : k + 1], params, solver, workers=1)
+            assert split.diagnostics[k] == alone.diagnostics[0], f"window {k + 1}"
+            assert split.zone_objectives[k] == alone.zone_objectives[0], f"window {k + 1}"
+            assert split.zone_policies[k].tobytes() == alone.zone_policies[0].tobytes(), f"window {k + 1}"
+
+    def test_overflow_names_the_window_of_the_whole_stack(self, monkeypatch):
+        # window 4 would be window 2 of the second of two stacks
+        counts = self.record_fork_map(monkeypatch)
+        topo = Topology(service_rate=np.array([[1.0], [1.0]]))
+        demands = np.full((4, 1, 2), 0.5)
+        demands[3] = 1e10
+        with pytest.raises(ValueError, match="window 4: step bound"):
+            solve_windows(topo, demands, CostParams(alpha=150, rho0=0.99), workers=2)
+        assert counts == []
 
 
 class TestGapCertificate:

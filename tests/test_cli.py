@@ -931,12 +931,16 @@ def test_start_up_loads_no_process_modules():
 import sys
 import numpy as np
 import assoclearn.cli
-from assoclearn import CostParams, LearnerConfig, Topology, TrafficTrace, build_partition, run_online
+from assoclearn import (
+    CostParams, LearnerConfig, Topology, TrafficTrace, build_partition, run_online, solve_periodic_static,
+)
 assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules), "import assoclearn.cli"
 topology = Topology(service_rate=np.array([[1.0, 2.0], [2.0, 1.0]]))
 trace = TrafficTrace(demand=np.full((4, 2), 0.5))
 run_online(topology, trace, build_partition(4, 2, 2), CostParams(alpha=1.0, rho0=0.9), LearnerConfig(eta=0.5))
 assert not {"multiprocessing", "mmap"} & set(sys.modules), "one-block run_online"
+solve_periodic_static(topology, trace, build_partition(4, 2, 2), CostParams(alpha=1.0, rho0=0.9), workers=2)
+assert not {"multiprocessing", "mmap"} & set(sys.modules), "solve below SPLIT_ENTRIES"
 """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)

@@ -10,6 +10,8 @@ Exit 2 must name a key of `SCHEMA`. Exit 0 must leave strict JSON, a regret
 equal to the online minus the benchmark total, an upper bound at least the
 regret, column-stochastic benchmark policies on the topology's support,
 and a manifest whose hashes match. Any other exit, or an exception, fails.
+Every fourth config also runs with every solve split over two forked
+workers, which must exit, report and write exactly as the one-stack run.
 """
 
 import hashlib
@@ -21,9 +23,11 @@ import numpy as np
 import pytest
 from test_cli import strict_json_outputs
 
-from assoclearn import cli
+from assoclearn import benchmark, cli
+from assoclearn.learner import fork_map
 
 CALENDARS = [(1, 1), (24, 1), (1, 48), (4, 6)]
+SPLIT_SEEDS = range(0, 40, 4)  # run a second time with every solve on two workers
 # every name a config error may give: each section and each key, as "section.key"
 KEYS = {
     name
@@ -68,14 +72,29 @@ def draw_config(seed: int) -> dict:
     }
 
 
+def written(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_accepted_config_runs_or_names_a_key(seed, tmp_path, capsys):
+def test_accepted_config_runs_or_names_a_key(seed, tmp_path, capsys, monkeypatch):
     doc = draw_config(seed)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = cli.main(["run", "--config", str(path), "--out", str(out)])
     err = capsys.readouterr().err
+    if seed in SPLIT_SEEDS:  # again, each solve dealt to two workers
+        forks = []
+        monkeypatch.setattr(benchmark, "SPLIT_ENTRIES", 0)
+        monkeypatch.setattr(benchmark, "usable_cores", lambda: 2)
+        monkeypatch.setattr(benchmark, "fork_map", lambda *args: forks.append(args[2]) or fork_map(*args))
+        split = tmp_path / "split"
+        assert cli.main(["run", "--config", str(path), "--out", str(split)]) == code
+        assert capsys.readouterr().err == err
+        assert written(split) == written(out)
+        if code == cli.EXIT_OK and (doc["partition"]["zones"] > 1 or doc["benchmarks"]["dynamic"]):
+            assert 2 in forks
     if code == cli.EXIT_CONFIG:
         named = re.search(r"key '([^']+)'", err)
         assert named and named.group(1) in KEYS, err
