@@ -14,9 +14,15 @@ accepted iterations (the learner's mirror step) and after a restart: on
 f(x+) > f(x), on <g, x+ - x> > 0, every RESTART_PERIOD iterations, or when L
 would overflow. A window stops once its Frank-Wolfe gap at y,
 <g, y> - sum_i min_{j in N(i)} g_ji >= f(y) - f*, is at most
-tolerance * max(1, |f(y)|), and returns y with that gap. A single window
-covering the horizon gives the classic static benchmark; singleton windows
-give the per-slot dynamic one.
+tolerance * max(1, |f(y)|), and returns y with that gap. A window that
+reaches PLAIN_STEPS first tries a Newton finish (`_newton_finish`) on a copy
+of x: it rounds, then takes up to NEWTON_STEPS projected Newton steps on the
+split locations (Bertsekas 1982) and stops the window once the gap meets the
+target. After a step that does not cut the gap it gives up, and the window
+goes on unchanged. iterations counts the Newton steps of a finish that
+certified the window, and max_iterations caps the total. A single
+window covering the horizon gives the classic static benchmark; singleton
+windows give the per-slot dynamic one.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ RESTART_PERIOD = 250  # accepted iterations after which momentum restarts
 STEP_GROWTH = 1.25  # L shrinks by this factor after an accepted iteration
 ROUNDING = 1e-12  # relative slack of the step test for rounding in f
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny  # TINY floors a restarted log z
+NEWTON_STEPS = 15  # budget of a window's Newton finish
+DECIDED, TRACE = 1e-3, 1e-12  # a location within DECIDED of one AP goes to it; a link below TRACE is 0
 # Stack entries from which a solve forks: a fork costs about 3 ms, the first 10 ms more to import
 # multiprocessing; stacks of 288,000 entries took 8-10 ms to solve, one of 864,000 about 150 ms.
 SPLIT_ENTRIES = 2**19
@@ -161,6 +169,7 @@ def _lockstep(topology, demands, params, solver, bounds) -> tuple:
     active_demands = demands if active.size == n_windows else demands[active]
     loads_x = (x * inverse_rate) @ active_demands  # (n, n_aps, window_length)
     loads_z, values_x = loads_x.copy(), _objectives(loads_x, params)
+    fresh = np.zeros(0, dtype=int)  # windows whose last accepted step was plain step PLAIN_STEPS
     while active.size:
         plain = (theta == 1).all()  # y = x = z
         mix = theta[:, None, None]
@@ -176,10 +185,18 @@ def _lockstep(topology, demands, params, solver, bounds) -> tuple:
             | (overflows > 1)
         )
         del loads_y  # the step needs only y's slope and value
-        if stop.any():
+        keep, trial = ~stop, fresh[~stop[fresh]]
+        if trial.size:
+            won, policy, gap, steps = _newton_finish(
+                topology, active_demands[trial], params, solver, x[trial], uniform,
+                min(NEWTON_STEPS, solver.max_iterations - PLAIN_STEPS))
+            finished, keep[trial[won]] = active[trial[won]], False
+            pi[finished], gaps[finished] = policy[won], gap[won]
+            iterations[finished] += steps[won]
+        if not keep.all():
             y = (1 - mix[stop]) * x[stop] + mix[stop] * z[stop]
             gap = (grad[stop] * y).sum(axis=(1, 2)) - best[stop]
-            keep, finished = ~stop, active[stop]
+            finished = active[stop]
             pi[finished], gaps[finished], converged[finished] = y, gap, gap <= target[stop]
             (active, active_demands, x, z, log_z, loads_x, loads_z, values_x, values_y, slope,
              grad, curvature, theta, scale, overflows, mix) = (
@@ -212,6 +229,7 @@ def _lockstep(topology, demands, params, solver, bounds) -> tuple:
         ok = room >= 0
         done = np.flatnonzero(ok)
         iterations[active[done]] += 1
+        fresh = done[iterations[active[done]] == PLAIN_STEPS]
         carried = done[theta[done] < 1]  # accepted steps with momentum
         # restart when f(x+) > f(x) or <g, x+ - x> = theta <g, z+ - x> > 0
         restart = carried[
@@ -243,6 +261,107 @@ def _lockstep(topology, demands, params, solver, bounds) -> tuple:
             loads_x[reset] = loads_z[reset] = (z[reset] * inverse_rate) @ active_demands[reset]
             values_x[reset] = _objectives(loads_x[reset], params)
     return pi, iterations, gaps, converged
+
+
+def _evaluate(pi, demands, inverse_rate, params) -> tuple:
+    """(loads, objectives, gradients) of a stack of window policies."""
+    loads = (pi * inverse_rate) @ demands
+    grad = (load_slope(loads, params) @ demands.swapaxes(1, 2)) * inverse_rate
+    return loads, _objectives(loads, params), grad
+
+
+def _newton_finish(topology, demands, params, solver, x, uniform, budget) -> tuple:
+    """(certified, policies, gaps, steps) of at most budget Newton steps from each window's
+    policy x rounded at DECIDED and TRACE, each with Armijo backtracking; a location with a
+    large share of the gap off its steepest link first mixes DECIDED of the uniform back in."""
+    support, inverse_rate = topology.support, topology.inverse_rate
+    n, n_aps, n_locations = x.shape
+    vertex = np.arange(n_aps)[:, None] == x.argmax(axis=1)[:, None]
+    pi = np.where(x.max(axis=1, keepdims=True) >= 1 - DECIDED, vertex, np.where(x > TRACE, x, 0.0))
+    pi /= pi.sum(axis=1, keepdims=True)
+    gaps, last, steps, live = np.zeros(n), np.full(n, np.inf), np.zeros(n, dtype=int), np.arange(n)
+    certified = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size:
+            p, dem = pi[live], demands[live]
+            loads, values, grad = _evaluate(p, dem, inverse_rate, params)
+            low = np.where(support, grad, np.inf).min(axis=1)
+            share = (p * (grad - low[:, None])).sum(axis=1)  # each location's part of the gap
+            gaps[live] = gap = share.sum(axis=1)
+            target = solver.tolerance * np.maximum(1.0, np.abs(values))
+            certified[live] = gap <= target
+            go = ~certified[live] & (gap < last[live]) & (steps[live] < budget)
+            last[live] = gap
+            live, p, dem, loads, values, grad, low, share, target = (
+                a[go] for a in (live, p, dem, loads, values, grad, low, share, target))
+            # a location with more than its share of the gap off its steepest link is split again
+            off = ~((np.where(support, grad, np.inf) == low[:, None]) & (p > TRACE)).any(axis=1)
+            release = off & (share > 1e-2 * target[:, None] / n_locations)
+            if release.any():
+                p = np.where(release[:, None], (1 - DECIDED) * p + DECIDED * uniform, p)
+                loads, values, grad = _evaluate(p, dem, inverse_rate, params)
+            step = _newton_step(p, dem, loads, grad, topology, params)
+            descent = (grad * step).sum(axis=(1, 2))
+            t = np.minimum(1.0, np.where(step < 0, p / -step, np.inf).min(axis=(1, 2)))  # largest feasible
+            todo, moved = np.flatnonzero(descent < 0), np.zeros(live.size, dtype=bool)
+            while todo.size:  # Armijo backtracking
+                q = np.maximum(p[todo] + t[todo, None, None] * step[todo], 0.0)
+                slack = ROUNDING * np.maximum(1.0, np.abs(values[todo])) + 1e-4 * t[todo] * descent[todo]
+                won = _objectives((q * inverse_rate) @ dem[todo], params) <= values[todo] + slack
+                pi[live[todo[won]]], moved[todo[won]] = q[won], True
+                todo = todo[~won & (t[todo] > 1e-9)]
+                t[todo] /= 2
+            steps[live[moved]] += 1
+            live = live[moved]
+    return certified, pi, gaps, steps
+
+
+def _newton_step(pi, demands, loads, grad, topology, params) -> np.ndarray:
+    """Steps solving the KKT systems of the cost's second-order model on the links above
+    TRACE of locations with two or more, by a primal-dual active set from each location's
+    steepest link (no solve where that is optimal; at most 10). Windows with equally many
+    links and locations solve as one batch; a model that overflows gives NaN."""
+    alpha, rho0, inverse_rate = params.alpha, params.rho0, topology.inverse_rate
+    curvature = np.where(loads <= rho0, alpha * (1 - np.minimum(loads, rho0)) ** (-alpha - 1), 0.0)
+    free = (pi > TRACE) & ((pi > TRACE).sum(axis=1, keepdims=True) > 1)
+    steepest = np.arange(pi.shape[1])[:, None] == np.where(free, grad, np.inf).argmin(axis=1)[:, None]
+    steepest &= free
+    step = np.where(free & ~steepest, -pi, 0.0)
+    step -= steepest * step.sum(axis=1, keepdims=True)
+    model = grad + ((curvature * ((step * inverse_rate) @ demands)) @ demands.swapaxes(1, 2)) * inverse_rate
+    others = np.where(free ^ steepest, model, np.inf).min(axis=1)
+    free &= ~(np.where(steepest, model, -np.inf).max(axis=1) < others).all(axis=1)[:, None, None]
+    step *= ~free
+    sizes = np.stack((free.sum(axis=(1, 2)), free.any(axis=1).sum(axis=1)), axis=1)
+    for n_free, n_split in np.unique(sizes[sizes[:, 0] > 0], axis=0):
+        group = np.flatnonzero((sizes == (n_free, n_split)).all(axis=1))
+        _, j, i = np.nonzero(free[group])
+        j, i, b, diagonal = j.reshape(-1, n_free), i.reshape(-1, n_free), group[:, None], np.arange(n_free)
+        split = np.nonzero(free[group].any(axis=1))[1].reshape(-1, 1, n_split)
+        links = (i[:, :, None] == split).astype(float)  # (windows, links, locations)
+        rows = inverse_rate[j, i][..., None] * demands[b, i]
+        hessian = ((rows * curvature[b, j]) @ rows.swapaxes(1, 2)) * (j[:, :, None] == j[:, None, :])
+        scale = hessian[:, diagonal, diagonal].max(axis=1)[:, None]  # solve in units of the largest curvature
+        scale[scale == 0] = 1.0
+        hessian = hessian / scale[..., None] + 1e-10 * np.eye(n_free)
+        kkt = np.block([[hessian, links], [links.swapaxes(1, 2), np.zeros((group.size, n_split, n_split))]])
+        finite = np.isfinite(kkt).all(axis=(1, 2))
+        kkt[~finite] = np.eye(n_free + n_split)
+        p, g, pinned = pi[b, j, i], grad[b, j, i] / scale, ~steepest[b, j, i]
+        for _ in range(10):
+            system, value = kkt.copy(), np.concatenate((-g, np.zeros((group.size, n_split))), axis=1)
+            w, f = np.nonzero(pinned)
+            system[w, f], value[w, f] = 0.0, -p[w, f]
+            system[w, f, f] = 1.0
+            solution = np.linalg.solve(system, value[..., None])[..., 0]
+            d = solution[:, :n_free]
+            multiplier = g + (hessian @ d[..., None] + links @ solution[:, n_free:, None])[..., 0]
+            update = np.where(pinned, multiplier > 0, p + d < 0)
+            if (update == pinned).all():
+                break
+            pinned = update
+        step[b, j, i] += np.where(finite[:, None], d, np.nan)
+    return step
 
 
 def solve_periodic_static(

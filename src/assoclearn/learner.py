@@ -22,9 +22,11 @@ one-member run bit for bit (`run_online_stack`).
 
 from __future__ import annotations
 
+import functools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +48,22 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):  # Linux and some BSDs
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def openblas_threads() -> tuple | None:
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None without one."""
+    import ctypes
+
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("get")) and hasattr(handle, name.format("set")):
+                get, set_ = getattr(handle, name.format("get")), getattr(handle, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 @dataclass(frozen=True)
@@ -347,6 +365,9 @@ def fork_map(fn, items: Sequence, workers: int) -> list:
     as a child blocks on one the pipe cannot hold; then the first exception in
     worker order is raised again here. Below two workers, or without `fork`,
     every item is mapped here; below two, `multiprocessing` is not imported.
+    While it forks, OpenBLAS (`openblas_threads`) runs one thread here and
+    in every child, as the workers already fill the cores; the old count is
+    set again after the join. Another BLAS is left as it is.
     """
     if workers > 1:
         import multiprocessing
@@ -360,7 +381,11 @@ def fork_map(fn, items: Sequence, workers: int) -> list:
             send(exc)
 
     context, children, outcomes = multiprocessing.get_context("fork"), [], []
+    blas = openblas_threads()
+    threads = blas and blas[0]()
     try:
+        if blas:
+            blas[1](1)
         for w in range(1, workers):
             receive, send = context.Pipe(duplex=False)
             child = context.Process(target=report, args=(items[w::workers], send.send))
@@ -373,6 +398,8 @@ def fork_map(fn, items: Sequence, workers: int) -> list:
         for child, receive in children:
             receive.close()  # unread only if a child died: the others then fail to report and exit
             child.join()
+        if blas:
+            blas[1](threads)
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome

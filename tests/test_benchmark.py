@@ -33,6 +33,37 @@ def toy_trace(values):
     return TrafficTrace(demand=np.asarray(values, dtype=float))
 
 
+def ci_split_slots(slots):
+    """Topology and per-slot demands of CI's split config (default radio, loads below 0.01)."""
+    doc = {
+        "seed": 2024,
+        "topology": {"source": "generate", "grid": {"nx": 5, "ny": 5, "spacing": 100.0},
+                     "radio": {"ap_positions": [[200, 200], [50, 50], [350, 50], [50, 350], [350, 350], [200, 0]],
+                               "ap_power_dbm": [43, 33, 33, 33, 33, 33]}},
+        "traffic": {"source": "synthetic", "horizon": slots,
+                    "profile": {"slots_per_day": 240, "shape": "sinusoidal", "amplitude": 0.6, "sigma": 0.1}},
+        "partition": {"zones": 1, "slots_per_zone": 1},
+        "cost": {"alpha": 2.0, "rho0": 0.8},
+    }
+    config = parse_config(doc)
+    topo = build_experiment_topology(config)
+    return topo, build_experiment_trace(config, topo).demand[:, :, None], config.cost
+
+
+def record_newton(monkeypatch, certify=True) -> list:
+    """(windows tried, windows certified) of each Newton finish from now on; with
+    certify=False every trial runs but reports that it certified nothing."""
+    trials, finish = [], benchmark._newton_finish
+
+    def recorded(*args):
+        certified, *rest = finish(*args)
+        trials.append((certified.size, int(certified.sum())))
+        return (certified if certify else certified & False, *rest)
+
+    monkeypatch.setattr(benchmark, "_newton_finish", recorded)
+    return trials
+
+
 def readme_two_days():
     """Topology and trace of the README config with a 480-slot horizon."""
     _, doc = readme_config()
@@ -219,16 +250,25 @@ class TestPeriodicStatic:
         costs, _ = replay_benchmark(solution, trace, partition, topo, params)
         assert costs.sum() == pytest.approx(solution.total_objective, rel=1e-12)
 
-    def test_batched_windows_match_single_window_solves(self, rng):
+    def test_batched_windows_match_single_window_solves(self, rng, monkeypatch):
+        self.check_batched_against_single(rng, monkeypatch, load=1.0)
+
+    def test_batched_newton_windows_match_single_window_solves(self, rng, monkeypatch):
+        self.check_batched_against_single(rng, monkeypatch, load=3.0)  # every window reaches the Newton finish
+
+    @staticmethod
+    def check_batched_against_single(rng, monkeypatch, load):
         zones, width = int(rng.integers(3, 6)), int(rng.integers(1, 4))
         partition = build_partition(2 * zones * width, zones, width)
         topo = make_random_topology(rng, 4, 3)
-        demand = rng.uniform(0.1, 0.9, (partition.horizon, 4))
+        demand = rng.uniform(0.1, 0.9, (partition.horizon, 4)) * load
         idle = int(rng.integers(1, zones + 1))
         demand[partition.window(idle) - 1] = 0.0
         trace = toy_trace(demand)
         params = CostParams(alpha=2, rho0=0.8)
+        trials = record_newton(monkeypatch)
         free = solve_periodic_static(topo, trace, partition, params)
+        assert (sum(certified for _, certified in trials) > 0) == (load > 1)
         counts = sorted(d.iterations for d in free.diagnostics if d.iterations)
         # a cap one below the largest count stops the slowest windows, not the faster ones
         solver = SolverConfig(max_iterations=counts[-1] - 1)
@@ -267,11 +307,15 @@ class TestSplitStacks:
         return counts
 
     def windows(self):
-        """Seven windows of growing demand, one idle, capped one below the largest count."""
+        """Seven windows of growing demand, one idle, then four overloaded ones, capped one
+        below the largest count. The Newton finish certifies two of the overloaded windows
+        and hands the one with the largest count back to the accelerated steps."""
         rng = np.random.default_rng(25)
         topo = make_random_topology(rng, 4, 3)
         demands = rng.uniform(0.1, 0.9, (7, 4, 3)) * np.linspace(0.3, 2.5, 7)[:, None, None]
         demands[self.IDLE] = 0.0
+        heavy = np.random.default_rng(1)
+        demands = np.concatenate((demands, heavy.uniform(0.1, 0.9, (4, 4, 3)) * heavy.uniform(3, 12, (4, 1, 1))))
         params = CostParams(alpha=2, rho0=0.8)
         free = solve_windows(topo, demands, params, workers=1)
         solver = SolverConfig(max_iterations=max(d.iterations for d in free.diagnostics) - 1)
@@ -279,9 +323,12 @@ class TestSplitStacks:
 
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch):
         topo, demands, params, solver = self.windows()
-        counts = self.record_fork_map(monkeypatch)
+        counts, trials = self.record_fork_map(monkeypatch), record_newton(monkeypatch)
         one, *split = [solve_windows(topo, demands, params, solver, workers) for workers in (1, 2, 3)]
         assert counts == [1, 2, 3]
+        newton = [d for d in one.diagnostics if benchmark.PLAIN_STEPS < d.iterations <= 90]
+        assert len(newton) >= 2 and all(d.converged for d in newton)
+        assert sum(tried for tried, _ in trials) > sum(certified for _, certified in trials) > 0
         diagnostics = one.diagnostics
         assert diagnostics[self.IDLE].iterations == 0 and diagnostics[self.IDLE].converged
         assert not all(d.converged for d in diagnostics)
@@ -309,6 +356,45 @@ class TestSplitStacks:
         with pytest.raises(ValueError, match="window 4: step bound"):
             solve_windows(topo, demands, CostParams(alpha=150, rho0=0.99), workers=2)
         assert counts == []
+
+
+class TestNewtonFinish:
+    """Windows that reach PLAIN_STEPS accepted plain steps first try projected Newton steps."""
+
+    def test_near_linear_windows_certify_and_a_failed_trial_changes_nothing(self, monkeypatch):
+        topo, demands, params = ci_split_slots(48)
+
+        def solve():
+            return solve_windows(topo, demands, params, workers=1)
+
+        def no_trial(topology, demands, params, solver, x, uniform, budget):
+            return np.zeros(len(x), dtype=bool), x, np.zeros(len(x)), np.zeros(len(x), dtype=int)
+
+        trials = record_newton(monkeypatch)
+        finished = solve()
+        assert sum(certified for _, certified in trials) >= 10 and finished.all_converged
+        record_newton(monkeypatch, certify=False)  # each trial runs, and its window goes on as before
+        handed_back = solve()
+        monkeypatch.setattr(benchmark, "_newton_finish", no_trial)
+        off = solve()
+        assert handed_back.diagnostics == off.diagnostics and handed_back.zone_objectives == off.zone_objectives
+        assert np.array(handed_back.zone_policies).tobytes() == np.array(off.zone_policies).tobytes()
+        for diag, newton, objective in zip(off.diagnostics, finished.diagnostics, finished.zone_objectives):
+            assert newton.iterations <= diag.iterations
+            assert 0 <= newton.gap <= SolverConfig().tolerance * max(1.0, abs(objective))
+
+    def test_cap_inside_the_budget_reports_unconverged(self):
+        # windows 2 and 12 of the overloaded day need two Newton steps
+        topo = acceptance_topology()
+        trace = generate_synthetic(25, 5760, seed=2024, profile=SyntheticProfile(slots_per_day=240))
+        params = CostParams(alpha=2.0, rho0=0.8)
+        for zone in (2, 12):
+            window = build_partition(5760, 24, 10).window(zone)
+            for extra, converged in [(1, False), (2, True)]:
+                solver = SolverConfig(max_iterations=benchmark.PLAIN_STEPS + extra)
+                _, objective, diag = window_solution(topo, trace, window, params, solver)
+                assert diag.iterations == solver.max_iterations and diag.converged == converged, f"window {zone}"
+                assert (diag.gap <= solver.tolerance * abs(objective)) == converged, f"window {zone}"
 
 
 class TestGapCertificate:
@@ -344,6 +430,8 @@ class TestGapCertificate:
             assert 0.2 <= overloaded <= 0.35, f"window {zone}"
             assert diag.converged and diag.iterations <= 1_000, f"window {zone}"
             assert diag.gap <= SolverConfig().tolerance * abs(objective), f"window {zone}"
+            # the Newton finish certifies both from the last plain step (82 iterations each)
+            assert diag.iterations <= benchmark.PLAIN_STEPS + 10, f"window {zone}"
 
     @pytest.mark.parametrize("alpha, rho0", [(0.0, 1.0), (1.0, 0.6), (2.0, 0.5)])
     def test_converged_windows_meet_gap_target(self, rng, alpha, rho0):

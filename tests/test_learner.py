@@ -744,3 +744,19 @@ class TestForkMap:
             (item, os.getpid()) for item in "abc"
         ]
         assert started == []
+
+    def test_workers_run_openblas_on_one_thread(self):
+        blas = learner.openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS found under numpy.libs")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            chosen = get()  # 2 where OpenBLAS may start that many threads
+            here, child = learner.fork_map(lambda _: (get(), os.getpid()), range(2), 2)
+            assert here == (1, os.getpid()) and child[0] == 1 and child[1] != os.getpid()
+            assert get() == chosen
+            assert learner.fork_map(lambda _: get(), range(2), 1) == [chosen, chosen]  # one worker: left alone
+        finally:
+            set_(before)

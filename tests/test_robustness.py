@@ -12,6 +12,14 @@ regret, column-stochastic benchmark policies on the topology's support,
 and a manifest whose hashes match. Any other exit, or an exception, fails.
 Every fourth config also runs with every solve split over two forked
 workers, which must exit, report and write exactly as the one-stack run.
+
+Their solver cap keeps every window short of the Newton finish, so twelve
+more configs on CI's split network (6 APs, 25 locations; 48 slots, at most
+120 iterations) set their demands from its rates, four of each kind: AP
+loads near rho0 at alpha 1 or 2, tiny (near-linear) loads, both at a gap
+target of 1e-9, and alpha 100 or 140 with rho0 = 0.99. Each must reach the
+Newton finish, meet the same properties, and write the same bytes with
+every solve split.
 """
 
 import hashlib
@@ -72,19 +80,62 @@ def draw_config(seed: int) -> dict:
     }
 
 
+def draw_newton_config(seed: int) -> dict:
+    """A config whose windows reach the Newton finish; see the module docstring."""
+    rng = random.Random(seed)
+    kind = ("near", "tiny", "steep")[seed % 3]
+    alpha = rng.choice([100.0, 140.0] if kind == "steep" else [1.0, 2.0])
+    rho0 = 0.99 if kind == "steep" else rng.uniform(0.6, 0.95)
+    load = {"near": rho0 * rng.uniform(0.7, 1.3), "tiny": 10 ** rng.uniform(-4, -2), "steep": rng.uniform(0.3, 1.0)}
+    zones, slots_per_zone = rng.choice([(1, 48), (4, 6), (24, 1)])
+    doc = {
+        "seed": seed,
+        "topology": {
+            "source": "generate",
+            "grid": {"nx": 5, "ny": 5, "spacing": 100.0},
+            "radio": {  # CI's split network
+                "ap_positions": [[200, 200], [50, 50], [350, 50], [50, 350], [350, 350], [200, 0]],
+                "ap_power_dbm": [43, 33, 33, 33, 33, 33],
+            },
+        },
+        "traffic": {"source": "synthetic", "horizon": 48, "profile": {"slots_per_day": 24}},
+        "partition": {"zones": zones, "slots_per_zone": slots_per_zone},
+        "cost": {"alpha": alpha, "rho0": rho0},
+        "solver": {"max_iterations": 120, "tolerance": 1e-6 if kind == "steep" else 1e-9},
+        "benchmarks": {"static": rng.random() < 0.5, "dynamic": rng.random() < 0.5},
+    }
+    topology = cli.build_experiment_topology(cli.parse_config(doc))
+    # base demand 1 gives each AP about this load on the uniform split
+    unit = float((topology.inverse_rate * topology.support / topology.support.sum(axis=0)).sum(axis=1).mean())
+    doc["traffic"]["profile"].update(base_min=load[kind] / unit, base_max=1.5 * load[kind] / unit)
+    return doc
+
+
 def written(out) -> dict:
     return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_accepted_config_runs_or_names_a_key(seed, tmp_path, capsys, monkeypatch):
-    doc = draw_config(seed)
+    run_and_check(draw_config(seed), seed in SPLIT_SEEDS, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_newton_finish_configs_run(seed, tmp_path, capsys, monkeypatch):
+    trials, finish = [], benchmark._newton_finish
+    monkeypatch.setattr(benchmark, "_newton_finish", lambda *args: trials.append(len(args[4])) or finish(*args))
+    run_and_check(draw_newton_config(seed), True, tmp_path, capsys, monkeypatch)
+    assert trials
+
+
+def run_and_check(doc, split, tmp_path, capsys, monkeypatch):
+    """Run doc; with split, again with every solve dealt to two workers. Then check the outputs."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = cli.main(["run", "--config", str(path), "--out", str(out)])
     err = capsys.readouterr().err
-    if seed in SPLIT_SEEDS:  # again, each solve dealt to two workers
+    if split:  # again, each solve dealt to two workers
         forks = []
         monkeypatch.setattr(benchmark, "SPLIT_ENTRIES", 0)
         monkeypatch.setattr(benchmark, "usable_cores", lambda: 2)
